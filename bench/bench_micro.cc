@@ -69,7 +69,7 @@ struct CaseResult {
   double rows_per_sec = 0.0;
   /// Speedup over the series' baseline case (0 = n/a); `speedup_key`
   /// names the baseline in the JSON so cases with different baselines
-  /// (1-thread scan vs staged-serial miner) are not conflated.
+  /// (1-thread scan vs scalar probe kernel) are not conflated.
   double speedup = 0.0;
   const char* speedup_key = "speedup_vs_1t";
   /// Extra `"key": value` JSON fields for this case (pre-rendered,
@@ -323,12 +323,12 @@ void BenchTrieCounting(std::vector<CaseResult>* results) {
   }
 }
 
-/// Flat SoA trie (packed/galloping probes + prefilter) vs the legacy
-/// AoS layer trie on quest-shaped counting workloads — stationary and
-/// temporally skewed (the two scenarios the scan paths care about).
-/// Candidates are 3-subsets drawn from real transactions so supports
-/// are non-trivial. The flat cases report speedup_vs_legacy.
-void BenchTrieLayouts(std::vector<CaseResult>* results) {
+/// The flat SoA trie walk (packed/galloping probes) on quest-shaped
+/// counting workloads — stationary and temporally skewed (the two
+/// scenarios the scan paths care about). Candidates are 3-subsets drawn
+/// from real transactions so supports are non-trivial. The cases record
+/// which packed probe kernel the dispatch picked.
+void BenchTrieFlat(std::vector<CaseResult>* results) {
   ItemDictionary dict;
   auto taxonomy = GenerateBalancedTaxonomy(TaxonomyGenParams(), &dict);
   if (!taxonomy.ok()) std::abort();
@@ -362,28 +362,13 @@ void BenchTrieLayouts(std::vector<CaseResult>* results) {
     if (candidates.empty()) std::abort();
     std::vector<uint32_t> supports(candidates.size());
 
-    CountBatchOptions legacy_options;
-    legacy_options.trie.flat = false;
-    legacy_options.trie.prefilter = false;
-    const CaseResult legacy = RunCase(
-        std::string("trie_legacy_") + scenario.tag, 1, db->size(), [&] {
-          CountBatchWithTrie(*db, candidates, nullptr, supports, nullptr,
-                             nullptr, legacy_options);
-        });
-    results->push_back(legacy);
-
-    CountBatchOptions flat_options;  // pure layout A/B: prefilter has
-    flat_options.trie.prefilter = false;  // its own bench cases
+    CountBatchOptions flat_options;  // the walk alone: the prefilter
+    flat_options.trie.prefilter = false;  // has its own bench cases
     CaseResult flat = RunCase(
-        std::string("trie_flat_vs_legacy_") + scenario.tag, 1,
-        db->size(), [&] {
+        std::string("trie_flat_") + scenario.tag, 1, db->size(), [&] {
           CountBatchWithTrie(*db, candidates, nullptr, supports, nullptr,
                              nullptr, flat_options);
         });
-    if (legacy.median_ms > 0.0 && flat.median_ms > 0.0) {
-      flat.speedup = legacy.median_ms / flat.median_ms;
-      flat.speedup_key = "speedup_vs_legacy";
-    }
     flat.extra_json = std::string("\"packed_kernel\": \"") +
                       trie_probe::PackedKernelName() + "\"";
     results->push_back(flat);
@@ -555,13 +540,12 @@ void BenchRowTrieReuse(std::vector<CaseResult>* results) {
   }
 }
 
-/// Scan-cell counter shoot-out: the exact hot loop of the scan-driven
-/// cell (every 3-subset of each filtered transaction bumped into a
-/// counter) against the unordered_map baseline and the open-addressed
-/// bump-arena table, both warm across reps as in the pipeline's steady
-/// state. The arena case reports speedup_vs_map plus its warm-rep grow
-/// events — which must be zero: a warm table recounting the same data
-/// performs no allocation at all.
+/// Scan-cell counter: the exact hot loop of the scan-driven cell (every
+/// 3-subset of each filtered transaction bumped into the open-addressed
+/// bump-arena table), warm across reps as in the pipeline's steady
+/// state. The case reports its warm-rep grow events — which must be
+/// zero: a warm table recounting the same data performs no allocation
+/// at all.
 void BenchScanCounters(std::vector<CaseResult>* results) {
   Rng rng(17);
   const auto num_txns =
@@ -588,14 +572,6 @@ void BenchScanCounters(std::vector<CaseResult>* results) {
     }
   };
 
-  ScanCellScratch::CountMap map_counts;
-  const CaseResult map_case =
-      RunCase("scan_counter_map", 1, db.size(), [&] {
-        map_counts.clear();
-        scan_into([&](const Itemset& c) { ++map_counts[c]; });
-      });
-  results->push_back(map_case);
-
   ScanCounterTable table;
   uint64_t warm_grow_events = 0;
   CaseResult arena_case =
@@ -609,11 +585,6 @@ void BenchScanCounters(std::vector<CaseResult>* results) {
   // capacity was already sized for this workload: any growth here
   // means the warm path allocates, which it must not.
   if (warm_grow_events != 0) std::abort();
-  if (table.size() != map_counts.size()) std::abort();
-  if (map_case.median_ms > 0.0 && arena_case.median_ms > 0.0) {
-    arena_case.speedup = map_case.median_ms / arena_case.median_ms;
-    arena_case.speedup_key = "speedup_vs_map";
-  }
   arena_case.extra_json =
       "\"warm_grow_events\": " + std::to_string(warm_grow_events) +
       ", \"distinct_combos\": " + std::to_string(table.size()) +
@@ -710,14 +681,10 @@ std::string StagesJson(const MetricsRegistry::Snapshot& snap) {
   return out;
 }
 
-/// Staged-serial vs pipelined cell execution on a multi-cell quest
-/// workload (several rows and columns stay alive, so the driver has
-/// planning work to overlap with the pool's support scans). Three
-/// rungs: staged serial, intra-row pipelining only, and the full
-/// config with cross-row overlap; the pipelined cases report their
-/// speedup over the staged-serial median at the same thread count in
-/// the speedup column/JSON field.
-void BenchMinerPipeline(std::vector<CaseResult>* results) {
+/// The whole miner on a multi-cell quest workload (several rows and
+/// columns stay alive) at all hardware threads, with its per-stage
+/// breakdown and pool utilization in the JSON.
+void BenchMiner(std::vector<CaseResult>* results) {
   ItemDictionary dict;
   TaxonomyGenParams tax_params;  // the paper's 10 roots x fanout 5, H=4
   auto taxonomy = GenerateBalancedTaxonomy(tax_params, &dict);
@@ -736,28 +703,15 @@ void BenchMinerPipeline(std::vector<CaseResult>* results) {
   config.min_support = {0.01, 0.001, 0.0005, 0.0001};
   config.num_threads = 0;
   const int hw = ThreadPool::ResolveThreadCount(0);
-  struct Mode {
-    const char* name;
-    bool pipelining;
-    bool row_overlap;
-  };
-  constexpr Mode kModes[] = {
-      {"miner_staged_serial", false, false},
-      {"miner_pipelined_no_row_overlap", true, false},
-      {"miner_pipelined", true, true},
-  };
-  double serial_ms = 0.0;
-  for (const Mode& mode : kModes) {
-    config.enable_pipelining = mode.pipelining;
-    config.enable_row_overlap = mode.row_overlap;
-    // Every mode mines with a registry attached (a fresh one per rep,
-    // so stage sums describe one run, not the series); the recorded
-    // snapshot is the last timed rep's. The registry's cost is part of
-    // what the miner cases measure — the dedicated A/B pair below
+  {
+    // The miner case mines with a registry attached (a fresh one per
+    // rep, so stage sums describe one run, not the series); the
+    // recorded snapshot is the last timed rep's. The registry's cost is
+    // part of what the case measures — the dedicated A/B pair below
     // bounds it.
     MetricsRegistry::Snapshot snap;
     double utilization = 0.0;
-    CaseResult r = RunCase(mode.name, hw, db->size(), [&] {
+    CaseResult r = RunCase("miner_quest", hw, db->size(), [&] {
       MetricsRegistry metrics;
       MiningConfig run_config = config;
       run_config.metrics = &metrics;
@@ -766,12 +720,6 @@ void BenchMinerPipeline(std::vector<CaseResult>* results) {
       utilization = metrics.gauge("pool.utilization");
       snap = metrics.Snap();
     });
-    if (!mode.pipelining) {
-      serial_ms = r.median_ms;
-    } else if (serial_ms > 0.0 && r.median_ms > 0.0) {
-      r.speedup = serial_ms / r.median_ms;
-      r.speedup_key = "speedup_vs_serial";
-    }
     r.extra_json = "\"pool_utilization\": " + FormatDouble(utilization, 4) +
                    ", \"packed_kernel\": \"" +
                    JsonEscape(trie_probe::PackedKernelName()) + "\", " +
@@ -779,13 +727,10 @@ void BenchMinerPipeline(std::vector<CaseResult>* results) {
     results->push_back(r);
   }
 
-  // Observability overhead A/B on the same workload: the full
-  // pipelined configuration with tracing + metrics completely off vs
-  // both on (span recording AND the registry). The on-case records
-  // overhead_pct so the trajectory catches instrumentation creep; the
-  // acceptance bar is < 2% on the median.
-  config.enable_pipelining = true;
-  config.enable_row_overlap = true;
+  // Observability overhead A/B on the same workload: tracing + metrics
+  // completely off vs both on (span recording AND the registry). The
+  // on-case records overhead_pct so the trajectory catches
+  // instrumentation creep; the acceptance bar is < 2% on the median.
   double obs_off_ms = 0.0;
   for (const bool obs : {false, true}) {
     CaseResult r = RunCase(
@@ -1095,13 +1040,13 @@ int main() {
   BenchTidSetIntersect(&results);
   BenchItemsetOps(&results);
   BenchTrieCounting(&results);
-  BenchTrieLayouts(&results);
+  BenchTrieFlat(&results);
   BenchTxnPrefilter(&results);
   BenchProbeKernels(&results);
   BenchRowTrieReuse(&results);
   BenchScanCounters(&results);
   BenchThreadScaling(&results);
-  BenchMinerPipeline(&results);
+  BenchMiner(&results);
   BenchStorage(&results);
   BenchScanSkip(&results);
   const std::string store_sizes = BenchStoreSizes();

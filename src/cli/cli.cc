@@ -131,61 +131,9 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
   args.AddSwitch("no-validate",
                  "with --input: skip the store's payload validation "
                  "scan (trusted files only)");
-  args.AddFlag("gamma", "positive correlation threshold (default 0.3)",
-               "FLOAT");
-  args.AddFlag("epsilon", "negative correlation threshold (default 0.1)",
-               "FLOAT");
-  args.AddFlag("minsup",
-               "comma-separated per-level minimum supports, most "
-               "general level first (default 0.01,0.001,0.0005)",
-               "F1,F2,...");
-  args.AddFlag("measure",
-               "all_confidence|coherence|cosine|kulczynski|"
-               "max_confidence (default kulczynski)",
-               "NAME");
-  args.AddFlag("pruning", "full|tpg|flipping|support (default full)",
-               "NAME");
-  args.AddFlag("counter", "horizontal|vertical (default horizontal)",
-               "NAME");
-  args.AddFlag("threads",
-               "worker threads for counting (default 0 = all hardware "
-               "threads)",
-               "N");
-  args.AddFlag("pipeline",
-               "on|off — overlap candidate generation with the "
-               "previous cell's support scan (default on; results "
-               "are identical either way)",
-               "MODE");
-  args.AddFlag("row-overlap",
-               "on|off — extend the pipeline's speculation window "
-               "across taxonomy rows (plan and start the next row's "
-               "first cell while the current row's last cell counts; "
-               "default on; only effective with --pipeline on; results "
-               "are identical either way)",
-               "MODE");
-  args.AddFlag("arena-counters",
-               "on|off — count scan-driven cells in the open-addressed "
-               "bump-arena counter table instead of the hash-map "
-               "baseline (default on; results are identical either "
-               "way)",
-               "MODE");
-  args.AddFlag("segment-skipping",
-               "on|off — let segment catalogs skip candidate-free "
-               "segments during counting scans (default on; results "
-               "are identical either way)",
-               "MODE");
-  args.AddFlag("flat-trie",
-               "on|off — flat SoA candidate-trie layout with packed/"
-               "galloping probe kernels (default on; off = legacy "
-               "layer layout; results are identical either way)",
-               "MODE");
-  args.AddFlag("txn-prefilter",
-               "on|off — reject/compact transactions through the "
-               "candidate-item prefilter before the trie walk "
-               "(default on; results are identical either way)",
-               "MODE");
-  args.AddFlag("topk", "keep only the K widest flips", "K");
-  args.AddFlag("format", "text|csv|json (default text)", "NAME");
+  for (const service::MineOptionSpec& option : service::MineOptions()) {
+    args.AddFlag(option.key, option.help, option.metavar);
+  }
   args.AddFlag("out", "write patterns to a file instead of stdout",
                "PATH");
   args.AddSwitch("baseline",
@@ -1170,22 +1118,9 @@ int QueryCommand(const std::vector<const char*>& argv, std::ostream& out,
   args.AddSwitch("no-cache",
                  "ask the daemon to bypass its result cache for this "
                  "query");
-  args.AddFlag("gamma", "positive correlation threshold", "FLOAT");
-  args.AddFlag("epsilon", "negative correlation threshold", "FLOAT");
-  args.AddFlag("minsup", "comma-separated per-level minimum supports",
-               "F1,F2,...");
-  args.AddFlag("measure", "correlation measure name", "NAME");
-  args.AddFlag("pruning", "full|tpg|flipping|support", "NAME");
-  args.AddFlag("counter", "horizontal|vertical", "NAME");
-  args.AddFlag("threads", "worker threads for counting", "N");
-  args.AddFlag("pipeline", "on|off", "MODE");
-  args.AddFlag("row-overlap", "on|off", "MODE");
-  args.AddFlag("arena-counters", "on|off", "MODE");
-  args.AddFlag("segment-skipping", "on|off", "MODE");
-  args.AddFlag("flat-trie", "on|off", "MODE");
-  args.AddFlag("txn-prefilter", "on|off", "MODE");
-  args.AddFlag("topk", "keep only the K widest flips", "K");
-  args.AddFlag("format", "text|csv|json (default text)", "NAME");
+  for (const service::MineOptionSpec& option : service::MineOptions()) {
+    args.AddFlag(option.key, option.help, option.metavar);
+  }
 
   Status parse_status =
       args.Parse(static_cast<int>(argv.size()), argv.data());
@@ -1296,7 +1231,7 @@ LoadgenVariants() {
       kVariants = {
           {{"format", "csv"}},
           {{"format", "csv"}, {"counter", "vertical"}, {"topk", "5"}},
-          {{"format", "csv"}, {"gamma", "0.5"}, {"pipeline", "off"}},
+          {{"format", "csv"}, {"gamma", "0.5"}, {"txn-prefilter", "off"}},
           {{"format", "json"}, {"epsilon", "0.05"}},
       };
   return kVariants;
@@ -1468,7 +1403,7 @@ int LoadgenCommand(const std::vector<const char*>& argv,
           response = client->Call(request, io_timeout_ms);
         }
         retry_backoff.Reset();
-        const double ms = timer.ElapsedMillis();
+        const double ms = timer.ElapsedSeconds() * 1e3;
         if (!response.ok() || !response->ok) {
           failures.fetch_add(1);
           record_error("request " + std::to_string(r) + ": " +

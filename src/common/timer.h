@@ -21,13 +21,6 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in whole milliseconds.
-  int64_t ElapsedMillis() const {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - start_)
-        .count();
-  }
-
   /// Elapsed time in whole microseconds.
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(

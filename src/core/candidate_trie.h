@@ -3,32 +3,22 @@
 // a transaction can increment exactly the candidates it contains
 // without enumerating all of its k-subsets blindly.
 //
-// Two layouts are maintained behind one API:
+// The trie is a single arena with SoA columns per node (items[] /
+// child_begin[] / child_end[] / leaf_index[]), walked iteratively with
+// an explicit frame stack. The txn∩children merge-walk runs over the
+// dense items[] stream with a packed lower-bound probe — selected at
+// *runtime* from one binary: AVX2 when cpuid reports it, SSE2 on
+// x86-64, a 64-bit mask + std::countr_zero word kernel otherwise — and
+// switches to a galloping probe when the sibling list is long relative
+// to the remaining transaction suffix.
 //
-//   flat (default) — a single arena with SoA columns per node
-//     (items[] / child_begin[] / child_end[] / leaf_index[]), walked
-//     iteratively with an explicit frame stack. The txn∩children
-//     merge-walk runs over the dense items[] stream with a packed
-//     lower-bound probe — selected at *runtime* from one binary:
-//     AVX2 when cpuid reports it, SSE2 on x86-64, a 64-bit mask +
-//     std::countr_zero word kernel otherwise — and switches to a
-//     galloping probe when the sibling list is long relative to the
-//     remaining transaction suffix;
-//   legacy — the original per-layer vector<Node> AoS layout with the
-//     recursive merge-walk, kept behind Options::flat = false as the
-//     A/B baseline for benchmarks and differential tests.
-//
-// In front of either walk an optional per-trie prefilter (min/max
+// In front of the walk an optional per-trie prefilter (min/max
 // candidate item + a 512-bit presence bitset, sharing
 // SegmentCatalog::HashBit) drops transaction items that provably occur
 // in no candidate and rejects transactions left with fewer than k
 // items. The filter is one-sided — a hash collision only keeps an item
 // that the walk then ignores — so counts are bit-identical with it on
-// or off.
-//
-// Both layouts produce identical counts for identical candidate sets;
-// MiningConfig::enable_flat_trie / enable_txn_prefilter select them at
-// run time.
+// or off (MiningConfig::enable_txn_prefilter).
 
 #ifndef FLIPPER_CORE_CANDIDATE_TRIE_H_
 #define FLIPPER_CORE_CANDIDATE_TRIE_H_
@@ -145,9 +135,6 @@ class ItemPrefilter {
 class CandidateTrie {
  public:
   struct Options {
-    /// Flat SoA arena + iterative probe walk (false: legacy AoS
-    /// layers + recursion). Counts are identical either way.
-    bool flat = true;
     /// Reject/compact transactions through the candidate-item
     /// prefilter before the walk. Exact: results are identical.
     bool prefilter = true;
@@ -198,7 +185,7 @@ class CandidateTrie {
   size_t num_candidates() const { return counts_.size(); }
   const Options& options() const { return options_; }
 
-  /// Total trie nodes across all layers (either layout).
+  /// Total trie nodes across all layers.
   size_t num_nodes() const;
 
   /// Feeds one (sorted, deduped) transaction through the trie,
@@ -224,10 +211,9 @@ class CandidateTrie {
 
   std::span<const uint32_t> counts() const { return counts_; }
 
-  /// Heap bytes of the active layout (nodes + SoA columns + counters)
-  /// plus the prefilter bitset when enabled. Exact for a freshly
-  /// constructed trie: the flat builder sizes every column ahead of
-  /// time, so capacity == size.
+  /// Heap bytes of the SoA columns and counters plus the prefilter
+  /// bitset when enabled. Exact for a freshly constructed trie: the
+  /// builder sizes every column ahead of time, so capacity == size.
   int64_t MemoryBytes() const;
 
   /// Bytes the prefilter contributes to MemoryBytes() when enabled.
@@ -236,40 +222,21 @@ class CandidateTrie {
   }
 
  private:
-  struct Node {
-    ItemId item;
-    // Children are stored contiguously: [child_begin, child_end) in
-    // nodes_ of the next depth layer; for depth k-1 nodes, leaf_index
-    // points into counts_.
-    uint32_t child_begin = 0;
-    uint32_t child_end = 0;
-    uint32_t leaf_index = 0;
-  };
+  void BuildArena(std::span<const Itemset> candidates,
+                  std::span<const uint32_t> order,
+                  std::span<const uint32_t> layer_sizes);
 
-  void BuildLegacy(std::span<const Itemset> candidates,
-                   std::span<const uint32_t> order,
-                   std::span<const uint32_t> layer_sizes);
-  void BuildFlat(std::span<const Itemset> candidates,
-                 std::span<const uint32_t> order,
-                 std::span<const uint32_t> layer_sizes);
-
-  void CountLegacy(std::span<const ItemId> txn, size_t txn_pos, int depth,
-                   uint32_t node_begin, uint32_t node_end,
-                   uint32_t* counts) const;
-  void CountFlat(std::span<const ItemId> txn, uint32_t* counts) const;
+  void CountWalk(std::span<const ItemId> txn, uint32_t* counts) const;
 
   int k_ = 0;
   Options options_;
 
-  // --- legacy layout: nodes per depth layer (layer d holds the d-th
-  // items of candidates), recursive merge-walk.
-  std::vector<std::vector<Node>> layers_;
-
-  // --- flat layout: one arena in layer-major order. Node ids are
-  // global; layer d occupies [layer_begin_[d], layer_begin_[d + 1]).
-  // Internal nodes (depth < k-1, global id < layer_begin_[k_-1]) carry
-  // child ranges of global ids in the next layer; leaf-layer nodes
-  // carry leaf_index_[id - layer_begin_[k_-1]] into counts_.
+  // One arena in layer-major order (layer d holds the d-th items of
+  // the candidates). Node ids are global; layer d occupies
+  // [layer_begin_[d], layer_begin_[d + 1]). Internal nodes (depth < k-1,
+  // global id < layer_begin_[k_-1]) carry child ranges of global ids in
+  // the next layer; leaf-layer nodes carry
+  // leaf_index_[id - layer_begin_[k_-1]] into counts_.
   std::vector<ItemId> items_;
   std::vector<uint32_t> child_begin_;
   std::vector<uint32_t> child_end_;

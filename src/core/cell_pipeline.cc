@@ -71,12 +71,9 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   CounterOptions counter_options;
   counter_options.enable_segment_skipping =
       config_.enable_segment_skipping;
-  counter_options.trie.flat = config_.enable_flat_trie;
   counter_options.trie.prefilter = config_.enable_txn_prefilter;
   counter_options.cancel = config_.cancel;
   counter_ = MakeCounter(config_.counter, pool_.get(), counter_options);
-  pipelining_ = config_.enable_pipelining;
-  row_overlap_ = pipelining_ && config_.enable_row_overlap;
 
   MiningResult result;
   height_ = tax_.height();
@@ -123,23 +120,15 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   // waiting room) — fail before the first candidate is generated.
   FLIPPER_RETURN_IF_ERROR(CheckCancel());
 
-  // Cross-row speculation handed from one row's last column to the
-  // next row's first cell (enable_row_overlap). Declared ahead of both
-  // phases: phase 1's last column seeds row 3.
-  CrossRowState cross;
-
   // --- Phase 1: the two ceiling rows, zigzag (lines 2-7). ---
   Row row1;
   Row row2;
-  std::optional<CellPlan> spec;
   for (int k = 2; k <= max_k_; ++k) {
     FLIPPER_RETURN_IF_ERROR(CheckCancel());
     CellWork work1;
     const Cell* prev1 =
         k == 2 ? nullptr : &row1[static_cast<size_t>(k - 3)];
-    FLIPPER_RETURN_IF_ERROR(
-        BeginRow1Cell(k, prev1, std::move(spec), &work1));
-    spec.reset();
+    FLIPPER_RETURN_IF_ERROR(BeginRow1Cell(k, prev1, &work1));
     FLIPPER_ASSIGN_OR_RETURN(Cell q1, FinishCell(&work1, nullptr));
     const bool q1_has_frequent = !q1.Select([](const ItemsetRecord& r) {
                                      return r.frequent;
@@ -158,22 +147,8 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     const Cell* prev2 =
         k == 2 ? nullptr : &row2[static_cast<size_t>(k - 3)];
     FLIPPER_RETURN_IF_ERROR(
-        BeginVerticalCell(2, k, &parent, prev2, std::nullopt, &work2));
-    // Overlap: while Q(2,k) counts on the pool, the driver plans
-    // Q(1,k+1) — the prefix join reads only the completed Q(1,k).
-    if (pipelining_ && k < max_k_ && !work2.counted_by_scan) {
-      StageScope stage(metrics_, "plan", 1, k + 1);
-      spec = planner_->PlanRow1(k + 1, &parent);
-    }
-    // Row overlap: at the last column, plan (and start counting)
-    // Q(3,2) from the completed Q(2,2) while Q(2,max_k) finishes.
-    const Cell* cross_parent =
-        row_overlap_ && k == max_k_ && height_ >= 3 && !row2.empty()
-            ? &row2[0]
-            : nullptr;
-    FLIPPER_RETURN_IF_ERROR(
-        JoinWithCrossStart(&work2, 3, cross_parent, &cross));
-    FLIPPER_ASSIGN_OR_RETURN(Cell q2, EvaluateCell(&work2, &parent));
+        BeginVerticalCell(2, k, &parent, prev2, &work2));
+    FLIPPER_ASSIGN_OR_RETURN(Cell q2, FinishCell(&work2, &parent));
     row2.push_back(std::move(q2));
 
     {
@@ -190,7 +165,6 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
       break;
     }
   }
-  spec.reset();
   {
     StageScope stage(metrics_, "evict");
     // Line 7: eliminate non-flipping patterns in rows 1 and 2. Row 1
@@ -204,14 +178,6 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
   Row prev_row = std::move(row2);
   for (int h = 3; h <= height_; ++h) {
     Row cur_row;
-    std::optional<CellPlan> vspec;
-    // A carried cross-row plan (scan route / truncated) becomes the
-    // row's first spec, so its scan or error lands in serial position.
-    if (cross.carried.has_value()) {
-      ++cross_carried_;
-      vspec = std::move(cross.carried);
-      cross.carried.reset();
-    }
     for (int k = 2; k <= max_k_; ++k) {
       FLIPPER_RETURN_IF_ERROR(CheckCancel());
       const Cell* parent =
@@ -220,53 +186,10 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
               : nullptr;
       const Cell* prev_in_row =
           k == 2 ? nullptr : &cur_row[static_cast<size_t>(k - 3)];
-      std::unique_ptr<CellWork> work;
-      if (k == 2 && cross.started != nullptr) {
-        StageScope stage(metrics_, "cross_adopt", h, k);
-        std::unique_ptr<CellWork> started = std::move(cross.started);
-        if (evaluator_->banned(h).size() == cross.ban_version) {
-          // Adopt the cross-row count already in flight. Provably
-          // always taken — SibpBan(h-1,·) bans only level-(h-1) items,
-          // so banned(h) cannot have grown since the plan read it.
-          ++cross_adopted_;
-          work = std::move(started);
-        } else {
-          // Defensive stale path: join, discard, replan serially.
-          ++cross_discarded_;
-          FLIPPER_RETURN_IF_ERROR(started->future.Join());
-        }
-      }
-      if (work == nullptr) {
-        work = std::make_unique<CellWork>();
-        FLIPPER_RETURN_IF_ERROR(BeginVerticalCell(
-            h, k, parent, prev_in_row, std::move(vspec), work.get()));
-      }
-      vspec.reset();
-      // Overlap: while Q(h,k)'s scan counts on the pool, the driver
-      // plans Q(h,k+1) from the completed parent row. The plan records
-      // the SIBP ban version it read; if evaluating Q(h,k) bans more
-      // items, BeginVerticalCell discards it and replans.
-      if (pipelining_ && k < max_k_ && !work->counted_by_scan) {
-        const Cell* next_parent =
-            static_cast<size_t>(k - 1) < prev_row.size()
-                ? &prev_row[static_cast<size_t>(k - 1)]
-                : nullptr;
-        if (next_parent != nullptr) {
-          StageScope stage(metrics_, "plan", h, k + 1);
-          vspec = planner_->PlanVertical(h, k + 1, *next_parent,
-                                         evaluator_->banned(h));
-        }
-      }
-      // Row overlap at the last column: plan and start Q(h+1,2) from
-      // the completed Q(h,2) while Q(h,max_k)'s count drains.
-      const Cell* cross_parent =
-          row_overlap_ && k == max_k_ && h < height_ && !cur_row.empty()
-              ? &cur_row[0]
-              : nullptr;
+      CellWork work;
       FLIPPER_RETURN_IF_ERROR(
-          JoinWithCrossStart(work.get(), h + 1, cross_parent, &cross));
-      FLIPPER_ASSIGN_OR_RETURN(Cell cell,
-                               EvaluateCell(work.get(), parent));
+          BeginVerticalCell(h, k, parent, prev_in_row, &work));
+      FLIPPER_ASSIGN_OR_RETURN(Cell cell, FinishCell(&work, parent));
       cur_row.push_back(std::move(cell));
 
       {
@@ -350,28 +273,6 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
                static_cast<int64_t>(stats.peak_candidate_bytes));
   m.SetGauge("mine.total_ms", wall_ms);
 
-  m.AddCounter("pipeline.spec_used", static_cast<int64_t>(spec_used_));
-  m.AddCounter("pipeline.spec_discarded",
-               static_cast<int64_t>(spec_discarded_));
-  m.AddCounter("pipeline.cross_row_adopted",
-               static_cast<int64_t>(cross_adopted_));
-  m.AddCounter("pipeline.cross_row_discarded",
-               static_cast<int64_t>(cross_discarded_));
-  m.AddCounter("pipeline.cross_row_carried",
-               static_cast<int64_t>(cross_carried_));
-  const uint64_t spec_total = spec_used_ + spec_discarded_;
-  if (spec_total > 0) {
-    m.SetGauge("pipeline.spec_adoption_rate",
-               static_cast<double>(spec_used_) /
-                   static_cast<double>(spec_total));
-  }
-  const uint64_t cross_total = cross_adopted_ + cross_discarded_;
-  if (cross_total > 0) {
-    m.SetGauge("pipeline.cross_adoption_rate",
-               static_cast<double>(cross_adopted_) /
-                   static_cast<double>(cross_total));
-  }
-
   uint64_t arena_grow = 0;
   for (const ScanCounterTable& table : scan_scratch_.shard_tables) {
     arena_grow += table.grow_events();
@@ -385,16 +286,11 @@ void CellPipeline::RecordRunMetrics(const MiningStats& stats,
 }
 
 Status CellPipeline::BeginRow1Cell(int k, const Cell* prev_in_row,
-                                   std::optional<CellPlan> spec,
                                    CellWork* work) {
   work->cs.h = 1;
   work->cs.k = k;
   CellPlan plan;
-  if (spec.has_value() && spec->k == k) {
-    ++spec_used_;
-    plan = std::move(*spec);
-  } else {
-    if (spec.has_value()) ++spec_discarded_;
+  {
     StageScope stage(metrics_, "plan", 1, k);
     plan = planner_->PlanRow1(k, prev_in_row);
   }
@@ -410,7 +306,6 @@ Status CellPipeline::BeginRow1Cell(int k, const Cell* prev_in_row,
 
 Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
                                        const Cell* prev_in_row,
-                                       std::optional<CellPlan> spec,
                                        CellWork* work) {
   work->cs.h = h;
   work->cs.k = k;
@@ -423,12 +318,7 @@ Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
   }
   const auto& banned = evaluator_->banned(h);
   CellPlan plan;
-  if (spec.has_value() && spec->h == h && spec->k == k &&
-      CellPlanner::PlanValid(*spec, banned)) {
-    ++spec_used_;
-    plan = std::move(*spec);
-  } else {
-    if (spec.has_value()) ++spec_discarded_;
+  {
     StageScope stage(metrics_, "plan", h, k);
     plan = planner_->PlanVertical(h, k, *parent, banned);
   }
@@ -439,7 +329,6 @@ Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
         freq_items_[static_cast<size_t>(h)], &work->candidates,
         &work->supports, &work->cs, &stats_, &scan_scratch_,
         pool_.get()));
-    work->counted_by_scan = true;
     work->cs.counted = work->candidates.size();
     return Status::OK();
   }
@@ -463,11 +352,6 @@ Result<Cell> CellPipeline::FinishCell(CellWork* work, const Cell* parent) {
     StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
     FLIPPER_RETURN_IF_ERROR(work->future.Join());
   }
-  return EvaluateCell(work, parent);
-}
-
-Result<Cell> CellPipeline::EvaluateCell(CellWork* work,
-                                        const Cell* parent) {
   // A token that fired mid-count made the shard loops bail early, so
   // work->supports may be partial — never evaluate them. (An un-fired
   // token implies complete, exact supports.)
@@ -479,52 +363,6 @@ Result<Cell> CellPipeline::EvaluateCell(CellWork* work,
   work->cs.seconds = work->timer.ElapsedSeconds();
   stats_.AddCell(work->cs);
   return cell;
-}
-
-Status CellPipeline::JoinWithCrossStart(CellWork* work, int next_h,
-                                        const Cell* cross_parent,
-                                        CrossRowState* cross) {
-  if (cross_parent == nullptr) {
-    StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
-    return work->future.Join();
-  }
-  // Plan Q(next_h,2) while this cell's count is still in flight. The
-  // plan reads only the completed cross parent (Q(next_h-1,2)) and
-  // level next_h's SIBP ban set — evaluating the in-flight cell bans
-  // level-(next_h-1) items only, so the plan cannot go stale before
-  // row next_h adopts it (the version is still revalidated there).
-  CellPlan plan;
-  {
-    StageScope stage(metrics_, "plan", next_h, 2);
-    plan = planner_->PlanVertical(next_h, 2, *cross_parent,
-                                  evaluator_->banned(next_h));
-  }
-  {
-    StageScope stage(metrics_, "count_wait", work->cs.h, work->cs.k);
-    FLIPPER_RETURN_IF_ERROR(work->future.Join());
-  }
-  if (plan.strategy == CellStrategy::kScan || plan.truncated) {
-    // The scan route counts inline on the driver thread and truncation
-    // must raise its error in serial position — carry the plan to the
-    // next row's first spec instead of starting anything here.
-    cross->carried = std::move(plan);
-    return Status::OK();
-  }
-  auto started = std::make_unique<CellWork>();
-  started->cs.h = next_h;
-  started->cs.k = 2;
-  started->cs.generated = plan.candidates.size();
-  started->candidates = std::move(plan.candidates);
-  started->cs.counted = started->candidates.size();
-  cross->ban_version = plan.ban_version;
-  // The previous count is joined, so the counter's pooled scratch is
-  // free: begin the cross count before the row tail evaluates.
-  StageScope stage(metrics_, "count_start", next_h, 2);
-  started->future = counter_->StartCount(views_, next_h,
-                                         started->candidates,
-                                         &started->supports);
-  cross->started = std::move(started);
-  return Status::OK();
 }
 
 Status CellPipeline::TruncatedError(int h, int k) const {

@@ -34,7 +34,6 @@ CellPlan CellPlanner::PlanVertical(
   CellPlan plan;
   plan.h = h;
   plan.k = k;
-  plan.ban_version = banned.size();
   const uint32_t min_count = config_.MinCount(h, num_txns_);
   auto child_ok = [&](ItemId child) {
     if (views_.ItemSupport(h, child) < min_count) return false;

@@ -85,31 +85,6 @@ struct MiningConfig {
   /// the strategy ablation bench; results are identical either way.
   bool enable_scan_cells = true;
 
-  /// Overlap the cell stages across cells: while cell Q(h,k)'s support
-  /// scan runs on the thread pool, the driver thread speculatively
-  /// generates Q(h,k+1)'s candidates (revalidated against the SIBP ban
-  /// state before use). Mining output is bit-identical either way; off
-  /// gives the staged-serial execution order.
-  bool enable_pipelining = true;
-
-  /// Extend the speculation window across taxonomy rows: at a row's
-  /// last column the driver plans — and starts counting — Q(h+1,2)
-  /// against row h's completed Q(h,2) while Q(h,max_k) still counts /
-  /// evaluates, keeping the pool fed across the level transition. The
-  /// cross-row plan is revalidated against the SIBP ban version of
-  /// level h+1 exactly like the intra-row speculation (that set cannot
-  /// change before row h+1 starts, so the speculation never misses);
-  /// output is bit-identical either way. Only effective together with
-  /// enable_pipelining.
-  bool enable_row_overlap = true;
-
-  /// Count the scan-driven cell's k-subsets in the open-addressed
-  /// bump-arena counter table (core/scan_counter.h) instead of the
-  /// unordered_map baseline. Counts and emission order are exact and
-  /// sorted either way, so mining output is bit-identical; off keeps
-  /// the map path for A/B benchmarks and differential tests.
-  bool enable_arena_scan_counters = true;
-
   /// Consult per-segment catalogs (min/max item, presence bitset,
   /// tracked supports) in the horizontal counting scan and the
   /// scan-driven cell, skipping segments that provably contain no
@@ -119,13 +94,6 @@ struct MiningConfig {
   /// catalog construction in LevelViews (MiningStats::segments_skipped
   /// stays 0).
   bool enable_segment_skipping = true;
-
-  /// Use the flat SoA candidate-trie layout (single arena, packed /
-  /// galloping probe kernels, iterative walk) in the horizontal
-  /// counting scans. Off falls back to the legacy per-layer AoS trie.
-  /// Supports and mining output are bit-identical either way — the
-  /// layouts only differ in memory traversal order.
-  bool enable_flat_trie = true;
 
   /// Reject/compact transactions through a per-batch candidate-item
   /// prefilter (min/max id + 512-bit presence bitset) before the trie

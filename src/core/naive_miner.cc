@@ -38,7 +38,6 @@ Result<MiningResult> NaiveMiner::Run(const TransactionDb& db,
                                           view_options));
   CounterOptions counter_options;
   counter_options.enable_segment_skipping = config.enable_segment_skipping;
-  counter_options.trie.flat = config.enable_flat_trie;
   counter_options.trie.prefilter = config.enable_txn_prefilter;
   std::unique_ptr<SupportCounter> counter =
       MakeCounter(config.counter, &pool, counter_options);

@@ -14,20 +14,9 @@
 namespace flipper {
 namespace {
 
-/// Transactions per scan shard below which the per-shard hash maps and
-/// the merge pass cost more than the parallelism buys.
+/// Transactions per scan shard below which the per-shard counter
+/// tables and the merge pass cost more than the parallelism buys.
 constexpr size_t kMinTxnsPerScanShard = 512;
-
-using CountMap = ScanCellScratch::CountMap;
-
-/// Uniform counter access so the scan loop is written once over both
-/// counter families (map baseline / arena table).
-inline void BumpCount(CountMap& counts, const Itemset& combo) {
-  ++counts[combo];
-}
-inline void BumpCount(ScanCounterTable& counts, const Itemset& combo) {
-  counts.Increment(combo);
-}
 
 }  // namespace
 
@@ -119,30 +108,20 @@ Status FillCellByScan(const LevelViews& views, const Taxonomy& taxonomy,
   const std::vector<char>& scan_flags = s->scan_flags;
 
   // Phase 1: count every k-subset of participating items that occurs,
-  // sharded over transaction ranges with one private hash counter per
-  // shard. A shard whose own map exceeds the candidate cap stops early
-  // and flags exhaustion: its local count already lower-bounds the
-  // merged count, so the run is doomed either way. The shard maps and
-  // item buffers come from the scratch, so a warm cell allocates
-  // nothing per transaction (clear() keeps map buckets and vector
-  // capacity).
-  const bool arena_counters = config.enable_arena_scan_counters;
+  // sharded over transaction ranges with one private counter table per
+  // shard. A shard whose own table exceeds the candidate cap stops
+  // early and flags exhaustion: its local count already lower-bounds
+  // the merged count, so the run is doomed either way. The shard tables
+  // and item buffers come from the scratch, so a warm cell allocates
+  // nothing per transaction (Reset() keeps table storage, clear() keeps
+  // vector capacity).
   const int num_shards =
       views.NumScanShards(h, kMinTxnsPerScanShard, pool);
-  if (arena_counters) {
-    if (s->shard_tables.size() < static_cast<size_t>(num_shards)) {
-      s->shard_tables.resize(static_cast<size_t>(num_shards));
-    }
-    for (int i = 0; i < num_shards; ++i) {
-      s->shard_tables[static_cast<size_t>(i)].Reset(k);
-    }
-  } else {
-    if (s->shard_counts.size() < static_cast<size_t>(num_shards)) {
-      s->shard_counts.resize(static_cast<size_t>(num_shards));
-    }
-    for (int i = 0; i < num_shards; ++i) {
-      s->shard_counts[static_cast<size_t>(i)].clear();
-    }
+  if (s->shard_tables.size() < static_cast<size_t>(num_shards)) {
+    s->shard_tables.resize(static_cast<size_t>(num_shards));
+  }
+  for (int i = 0; i < num_shards; ++i) {
+    s->shard_tables[static_cast<size_t>(i)].Reset(k);
   }
   if (s->shard_buf.size() < static_cast<size_t>(num_shards)) {
     s->shard_buf.resize(static_cast<size_t>(num_shards));
@@ -157,13 +136,13 @@ Status FillCellByScan(const LevelViews& views, const Taxonomy& taxonomy,
   views.ScanShards(h, num_shards, [&](int shard, size_t lo, size_t hi) {
     FLIPPER_TRACE_SPAN_HK("scan_shard", "task", h, k);
     std::vector<ItemId>& buf = s->shard_buf[static_cast<size_t>(shard)];
+    ScanCounterTable& counts = s->shard_tables[static_cast<size_t>(shard)];
     Itemset combo_scratch;
     // Cancellation poll every 512 transactions, same early-out shape
     // as the `exhausted` flag; partial shard counts are fine because
     // the fired token fails the cell below before any merge is used.
     size_t until_cancel_check = 512;
-    const auto scan_range_into = [&](auto& counts, size_t range_lo,
-                                     size_t range_hi) {
+    const auto scan_range = [&](size_t range_lo, size_t range_hi) {
       for (size_t t = range_lo; t < range_hi; ++t) {
         if (exhausted.load(std::memory_order_relaxed)) return;
         if (cancel != nullptr && --until_cancel_check == 0) {
@@ -181,20 +160,11 @@ Status FillCellByScan(const LevelViews& views, const Taxonomy& taxonomy,
         if (buf.size() < static_cast<size_t>(k)) continue;
         ForEachCombination(
             buf, k, &combo_scratch,
-            [&](const Itemset& combo) { BumpCount(counts, combo); });
+            [&](const Itemset& combo) { counts.Increment(combo); });
         if (counts.size() > config.max_candidates_per_cell) {
           exhausted.store(true, std::memory_order_relaxed);
           return;
         }
-      }
-    };
-    const auto scan_range = [&](size_t range_lo, size_t range_hi) {
-      if (arena_counters) {
-        scan_range_into(s->shard_tables[static_cast<size_t>(shard)],
-                        range_lo, range_hi);
-      } else {
-        scan_range_into(s->shard_counts[static_cast<size_t>(shard)],
-                        range_lo, range_hi);
       }
     };
     ForEachScannableRange(seg_boundaries, scan_flags, lo, hi,
@@ -226,50 +196,25 @@ Status FillCellByScan(const LevelViews& views, const Taxonomy& taxonomy,
   // moved, so its storage survives for reuse. (Counts are additive, so
   // the merged totals are shard-order independent; emission is sorted
   // below either way.)
-  std::vector<std::pair<Itemset, uint32_t>> entries;
   FLIPPER_TRACE_SPAN_HK("scan_merge", "detail", h, k);
-  if (arena_counters) {
-    ScanCounterTable& merged = s->shard_tables[0];
-    for (int i = 1; i < num_shards; ++i) {
-      const ScanCounterTable& table =
-          s->shard_tables[static_cast<size_t>(i)];
-      for (const ScanCounterTable::Entry& entry : table.entries()) {
-        merged.Increment(table.KeyOf(entry).data(), entry.count);
-      }
-      if (merged.size() > config.max_candidates_per_cell) {
-        return overflow;
-      }
+  ScanCounterTable& merged = s->shard_tables[0];
+  for (int i = 1; i < num_shards; ++i) {
+    const ScanCounterTable& table = s->shard_tables[static_cast<size_t>(i)];
+    for (const ScanCounterTable::Entry& entry : table.entries()) {
+      merged.Increment(table.KeyOf(entry).data(), entry.count);
     }
     if (merged.size() > config.max_candidates_per_cell) {
       return overflow;
     }
-    cs->generated = merged.size();
-    entries.reserve(merged.size());
-    for (const ScanCounterTable::Entry& entry : merged.entries()) {
-      entries.emplace_back(merged.ItemsetOf(entry), entry.count);
-    }
-  } else {
-    CountMap merged;
-    const CountMap* merged_view = &merged;
-    if (num_shards == 1) {
-      merged_view = &s->shard_counts[0];
-    } else {
-      for (int i = 0; i < num_shards; ++i) {
-        CountMap& counts = s->shard_counts[static_cast<size_t>(i)];
-        for (const auto& [combo, count] : counts) {
-          merged[combo] += count;
-        }
-        counts.clear();
-        if (merged.size() > config.max_candidates_per_cell) {
-          return overflow;
-        }
-      }
-    }
-    if (merged_view->size() > config.max_candidates_per_cell) {
-      return overflow;
-    }
-    cs->generated = merged_view->size();
-    entries.assign(merged_view->begin(), merged_view->end());
+  }
+  if (merged.size() > config.max_candidates_per_cell) {
+    return overflow;
+  }
+  cs->generated = merged.size();
+  std::vector<std::pair<Itemset, uint32_t>> entries;
+  entries.reserve(merged.size());
+  for (const ScanCounterTable::Entry& entry : merged.entries()) {
+    entries.emplace_back(merged.ItemsetOf(entry), entry.count);
   }
 
   // Phase 2: keep combinations growable from an eligible parent that

@@ -6,8 +6,9 @@
 // frequent.
 //
 // The counting scan is sharded over contiguous transaction ranges via
-// LevelViews::ScanShards — each shard fills a private hash counter,
-// and the shard maps are merged deterministically in shard order.
+// LevelViews::ScanShards — each shard fills a private bump-arena
+// counter table (core/scan_counter.h), and the shard tables are merged
+// deterministically in shard order.
 // Candidates are emitted in sorted itemset order, so cell contents are
 // reproducible across thread counts and platforms.
 
@@ -16,7 +17,6 @@
 
 #include <array>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -42,17 +42,12 @@ namespace flipper {
 double ScanEnumerationCost(const LevelViews& views, int h, int k,
                            double live_fraction = 1.0);
 
-/// Reusable state of the scan-driven cell: per-shard counters and
-/// item buffers, plus the flag vectors of the filtering passes. The
+/// Reusable state of the scan-driven cell: per-shard counter tables
+/// and item buffers, plus the flag vectors of the filtering passes. The
 /// pipeline keeps one instance alive across a run's scan cells, so a
-/// warm cell re-counts without reallocating — unordered_map clear()
-/// keeps the bucket arrays, and the arena tables' Reset() keeps their
-/// slot/entry/key storage. Which counter family a scan fills is
-/// MiningConfig::enable_arena_scan_counters; both live here so an A/B
-/// flip mid-run reuses whichever is warm.
+/// warm cell re-counts without reallocating — the tables' Reset() keeps
+/// their slot/entry/key storage.
 struct ScanCellScratch {
-  using CountMap = std::unordered_map<Itemset, uint32_t, ItemsetHash>;
-  std::vector<CountMap> shard_counts;
   std::vector<ScanCounterTable> shard_tables;
   std::vector<std::vector<ItemId>> shard_buf;
   std::vector<char> ok;

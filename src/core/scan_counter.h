@@ -12,8 +12,8 @@
 // zero-allocation assertions, mirroring CandidateTrie::CountScratch.
 //
 // Counts are exact and emission order is derived by sorting the
-// entries, so cell contents are bit-identical to the unordered_map
-// path (MiningConfig::enable_arena_scan_counters selects them).
+// entries, so cell contents are bit-identical to counting in an
+// std::unordered_map (scan_counter_test keeps that reference).
 
 #ifndef FLIPPER_CORE_SCAN_COUNTER_H_
 #define FLIPPER_CORE_SCAN_COUNTER_H_

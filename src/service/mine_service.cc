@@ -60,13 +60,42 @@ std::string KeyDouble(double v) {
 
 }  // namespace
 
+std::span<const MineOptionSpec> MineOptions() {
+  static constexpr MineOptionSpec kOptions[] = {
+      {"gamma", "FLOAT", "positive correlation threshold (default 0.3)"},
+      {"epsilon", "FLOAT", "negative correlation threshold (default 0.1)"},
+      {"minsup", "F1,F2,...",
+       "comma-separated per-level minimum supports, most general level "
+       "first (default 0.01,0.001,0.0005)"},
+      {"measure", "NAME",
+       "all_confidence|coherence|cosine|kulczynski|max_confidence "
+       "(default kulczynski)"},
+      {"pruning", "NAME", "full|tpg|flipping|support (default full)"},
+      {"counter", "NAME", "horizontal|vertical (default horizontal)"},
+      {"threads", "N",
+       "worker threads for counting (default 0 = all hardware threads)"},
+      {"segment-skipping", "MODE",
+       "on|off — let segment catalogs skip candidate-free segments "
+       "during counting scans (default on; results are identical either "
+       "way)"},
+      {"txn-prefilter", "MODE",
+       "on|off — reject/compact transactions through the candidate-item "
+       "prefilter before the trie walk (default on; results are "
+       "identical either way)"},
+      {"topk", "K", "keep only the K widest flips"},
+      {"format", "NAME", "text|csv|json (default text)"},
+  };
+  return kOptions;
+}
+
 const std::vector<std::string>& MineOptionKeys() {
-  static const std::vector<std::string> kKeys = {
-      "gamma",        "epsilon",       "minsup",
-      "measure",      "pruning",       "counter",
-      "threads",      "pipeline",      "row-overlap",
-      "arena-counters", "segment-skipping", "flat-trie",
-      "txn-prefilter", "topk",         "format"};
+  static const std::vector<std::string> kKeys = [] {
+    std::vector<std::string> keys;
+    for (const MineOptionSpec& option : MineOptions()) {
+      keys.emplace_back(option.key);
+    }
+    return keys;
+  }();
   return kKeys;
 }
 
@@ -134,21 +163,8 @@ Status ApplyMineOption(MineRequest* request, std::string_view key,
     request->num_threads = static_cast<int>(*parsed);
     return Status::OK();
   }
-  if (key == "pipeline") {
-    return ParseOnOff(key, value, &request->enable_pipelining);
-  }
-  if (key == "row-overlap") {
-    return ParseOnOff(key, value, &request->enable_row_overlap);
-  }
-  if (key == "arena-counters") {
-    return ParseOnOff(key, value,
-                      &request->enable_arena_scan_counters);
-  }
   if (key == "segment-skipping") {
     return ParseOnOff(key, value, &request->enable_segment_skipping);
-  }
-  if (key == "flat-trie") {
-    return ParseOnOff(key, value, &request->enable_flat_trie);
   }
   if (key == "txn-prefilter") {
     return ParseOnOff(key, value, &request->enable_txn_prefilter);
@@ -190,12 +206,7 @@ MiningConfig ToMiningConfig(const MineRequest& request) {
   config.pruning = request.pruning;
   config.counter = request.counter;
   config.num_threads = request.num_threads;
-  config.enable_pipelining = request.enable_pipelining;
-  config.enable_row_overlap = request.enable_row_overlap;
-  config.enable_arena_scan_counters =
-      request.enable_arena_scan_counters;
   config.enable_segment_skipping = request.enable_segment_skipping;
-  config.enable_flat_trie = request.enable_flat_trie;
   config.enable_txn_prefilter = request.enable_txn_prefilter;
   config.cancel = request.cancel;
   return config;

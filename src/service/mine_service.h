@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,11 +55,7 @@ struct MineRequest {
   // computed under any knob combination answers them all.
   CounterKind counter = CounterKind::kHorizontal;
   int num_threads = 0;
-  bool enable_pipelining = true;
-  bool enable_row_overlap = true;
-  bool enable_arena_scan_counters = true;
   bool enable_segment_skipping = true;
-  bool enable_flat_trie = true;
   bool enable_txn_prefilter = true;
 
   /// Optional cooperative-cancellation token plumbed into the run
@@ -69,11 +66,22 @@ struct MineRequest {
   const CancelToken* cancel = nullptr;
 };
 
-/// The option keys ApplyMineOption understands, in CLI flag spelling
-/// (gamma, epsilon, minsup, measure, pruning, counter, threads,
-/// pipeline, row-overlap, arena-counters, segment-skipping, flat-trie,
-/// txn-prefilter, topk, format). The CLI iterates this list to route
-/// every present flag through the checked parser.
+/// One option ApplyMineOption understands: its key (the CLI flag
+/// spelling and the service protocol's param name), the value
+/// placeholder and the help text.
+struct MineOptionSpec {
+  const char* key;
+  const char* metavar;
+  const char* help;
+};
+
+/// Every mine option, in help order. The CLI's `mine` and `query`
+/// subcommands register their flags from this table and route every
+/// present flag through the checked parser, so a knob lives in one
+/// list.
+std::span<const MineOptionSpec> MineOptions();
+
+/// The keys of MineOptions(), in the same order.
 const std::vector<std::string>& MineOptionKeys();
 
 /// Parses and validates one option value into `request`. Unknown keys,

@@ -456,9 +456,11 @@ Response Server::HandleMine(const Request& request, int fd) {
 
   // The query's own observability context: spans land in a session
   // attached for the duration (concurrent traced queries stay
-  // isolated), metrics in a per-query registry folded into the
-  // daemon's aggregate afterwards. The hangup watcher cancels the
-  // token — and thereby the run — the moment the client disconnects.
+  // isolated), metrics in a per-query registry. Both are dropped after
+  // the query: nothing merges them into the daemon's registry, whose
+  // `stats` carry only the whole-query counters and latency. The
+  // hangup watcher cancels the token — and thereby the run — the
+  // moment the client disconnects.
   trace::Session session;
   MetricsRegistry query_metrics;
   bool disconnected = false;

@@ -1,11 +1,10 @@
-// CandidateTrie layouts and probe kernels: the flat SoA arena must
-// count exactly like the legacy layer layout (and like brute force)
-// for every option combination, including adversarial shapes — k = 1,
-// a single candidate, transactions shorter than k, duplicate-free
-// max-width transactions, and item ids >= 512 that alias in the
-// prefilter bitset. Plus: probe-kernel agreement with std::lower_bound,
-// exact memory accounting across layouts, scratch growth accounting,
-// and Build() arena reuse.
+// CandidateTrie and probe kernels: the trie must count exactly like
+// brute force with the prefilter on and off, including adversarial
+// shapes — k = 1, a single candidate, transactions shorter than k,
+// duplicate-free max-width transactions, and item ids >= 512 that
+// alias in the prefilter bitset. Plus: probe-kernel agreement with
+// std::lower_bound, exact memory accounting, scratch growth
+// accounting, and Build() arena reuse.
 
 #include <gtest/gtest.h>
 
@@ -25,15 +24,12 @@ namespace flipper {
 namespace {
 
 const CandidateTrie::Options kOptionGrid[] = {
-    {/*flat=*/true, /*prefilter=*/true},
-    {/*flat=*/true, /*prefilter=*/false},
-    {/*flat=*/false, /*prefilter=*/true},
-    {/*flat=*/false, /*prefilter=*/false},
+    {/*prefilter=*/true},
+    {/*prefilter=*/false},
 };
 
 std::string OptionTag(const CandidateTrie::Options& options) {
-  return std::string(options.flat ? "flat" : "legacy") +
-         (options.prefilter ? "+prefilter" : "");
+  return options.prefilter ? "prefilter" : "no-prefilter";
 }
 
 /// Counts `db` through a trie built with `options` and compares every
@@ -55,9 +51,9 @@ void ExpectCountsMatchBruteForce(
   EXPECT_EQ(scratch.grow_events, 0u);
 }
 
-class TrieLayoutProperty : public ::testing::TestWithParam<uint64_t> {};
+class TrieProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(TrieLayoutProperty, AllLayoutsMatchBruteForce) {
+TEST_P(TrieProperty, AllOptionsMatchBruteForce) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 12; ++trial) {
     TransactionDb db;
@@ -95,10 +91,10 @@ TEST_P(TrieLayoutProperty, AllLayoutsMatchBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TrieLayoutProperty,
+INSTANTIATE_TEST_SUITE_P(Seeds, TrieProperty,
                          ::testing::Values(11, 22, 33));
 
-TEST(CandidateTrie, EmptyCandidatesAllLayouts) {
+TEST(CandidateTrie, EmptyCandidatesAllOptions) {
   for (const CandidateTrie::Options& options : kOptionGrid) {
     CandidateTrie trie(std::span<const Itemset>{}, options);
     EXPECT_EQ(trie.num_candidates(), 0u);
@@ -171,7 +167,7 @@ TEST(CandidateTrie, PrefilterBitsetAliasingIsExact) {
   // inside [min, max], and must then be rejected by the walk — never
   // miscounted, never crashing.
   std::vector<Itemset> candidates = {Itemset{488}, Itemset{2000}};
-  CandidateTrie::Options options;  // flat + prefilter
+  CandidateTrie::Options options;  // prefilter on
   CandidateTrie trie(candidates, options);
   ASSERT_TRUE(trie.options().prefilter);
 
@@ -184,19 +180,19 @@ TEST(CandidateTrie, PrefilterBitsetAliasingIsExact) {
   EXPECT_EQ(trie.CountOf(0), 1u);
   EXPECT_EQ(trie.CountOf(1), 1u);
 
-  // The same inputs through the unfiltered legacy trie agree.
-  CandidateTrie legacy(candidates, {/*flat=*/false, /*prefilter=*/false});
-  legacy.CountTransaction(both);
-  legacy.CountTransaction(collider);
-  legacy.CountTransaction(out_of_range);
-  EXPECT_EQ(legacy.CountOf(0), 1u);
-  EXPECT_EQ(legacy.CountOf(1), 1u);
+  // The same inputs through an unfiltered trie agree.
+  CandidateTrie unfiltered(candidates, {/*prefilter=*/false});
+  unfiltered.CountTransaction(both);
+  unfiltered.CountTransaction(collider);
+  unfiltered.CountTransaction(out_of_range);
+  EXPECT_EQ(unfiltered.CountOf(0), 1u);
+  EXPECT_EQ(unfiltered.CountOf(1), 1u);
 }
 
 TEST(CandidateTrie, PrefilterRejectionIsCountedAndExact) {
   // Candidates on a narrow band; transactions mostly outside it.
   std::vector<Itemset> candidates = {Itemset{10, 11}, Itemset{12, 13}};
-  CandidateTrie trie(candidates, {/*flat=*/true, /*prefilter=*/true});
+  CandidateTrie trie(candidates, {/*prefilter=*/true});
   CandidateTrie::CountScratch scratch;
   scratch.Reserve(8);
   std::vector<uint32_t> counts(candidates.size(), 0);
@@ -214,7 +210,7 @@ TEST(CandidateTrie, PrefilterRejectionIsCountedAndExact) {
 
 TEST(CandidateTrie, ScratchGrowthIsCountedOnce) {
   std::vector<Itemset> candidates = {Itemset{1, 2}};
-  CandidateTrie trie(candidates, {/*flat=*/true, /*prefilter=*/true});
+  CandidateTrie trie(candidates, {/*prefilter=*/true});
   CandidateTrie::CountScratch scratch;  // deliberately not reserved
   std::vector<uint32_t> counts(1, 0);
   std::vector<ItemId> wide;
@@ -229,7 +225,7 @@ TEST(CandidateTrie, ScratchGrowthIsCountedOnce) {
   EXPECT_EQ(scratch.grow_events, after_first);
 }
 
-TEST(CandidateTrie, MemoryAccountingIsExactAcrossLayouts) {
+TEST(CandidateTrie, MemoryAccountingIsExact) {
   Rng rng(77);
   std::vector<Itemset> candidates;
   std::unordered_set<Itemset, ItemsetHash> seen;
@@ -241,32 +237,23 @@ TEST(CandidateTrie, MemoryAccountingIsExactAcrossLayouts) {
     if (seen.insert(s).second) candidates.push_back(s);
   }
 
-  const CandidateTrie flat(candidates, {true, false});
-  const CandidateTrie flat_pf(candidates, {true, true});
-  const CandidateTrie legacy(candidates, {false, false});
-  ASSERT_EQ(flat.num_nodes(), legacy.num_nodes());
-  const auto nodes = static_cast<int64_t>(flat.num_nodes());
+  const CandidateTrie plain(candidates, {false});
+  const CandidateTrie filtered(candidates, {true});
+  const auto nodes = static_cast<int64_t>(plain.num_nodes());
   const auto leaves = static_cast<int64_t>(candidates.size());
   const auto internal = nodes - leaves;
   const int64_t counters = leaves * static_cast<int64_t>(sizeof(uint32_t));
 
-  // Flat: items column (4B/node) + child ranges (8B/internal) +
+  // Items column (4B/node) + child ranges (8B/internal) +
   // leaf indexes (4B/leaf) + k+1 layer offsets + counters. Exact —
   // the builder reserves precise sizes.
-  const int64_t expected_flat =
+  const int64_t expected =
       counters + nodes * 4 + internal * 8 + leaves * 4 + (3 + 1) * 4;
-  EXPECT_EQ(flat.MemoryBytes(), expected_flat);
+  EXPECT_EQ(plain.MemoryBytes(), expected);
 
   // The prefilter adds exactly its bitset block.
-  EXPECT_EQ(flat_pf.MemoryBytes(),
-            expected_flat + CandidateTrie::PrefilterMemoryBytes());
-
-  // Legacy: 16B AoS nodes + counters, also reserved exactly; the two
-  // accountings must agree modulo the per-node layout delta.
-  const int64_t expected_legacy = counters + nodes * 16;
-  EXPECT_EQ(legacy.MemoryBytes(), expected_legacy);
-  EXPECT_EQ(legacy.MemoryBytes() - flat.MemoryBytes(),
-            nodes * 16 - (nodes * 4 + internal * 8 + leaves * 4 + 16));
+  EXPECT_EQ(filtered.MemoryBytes(),
+            expected + CandidateTrie::PrefilterMemoryBytes());
 }
 
 TEST(CandidateTrie, BuildReusesArenaAndStaysCorrect) {

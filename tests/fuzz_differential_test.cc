@@ -2,7 +2,7 @@
 // input-to-patterns pipeline. Every round draws a random dataset
 // (taxonomy shape, transaction count/width) and a random mining
 // configuration (thresholds, measure, counter, pruning stack, scan
-// cells, pipelining, segment skipping), then requires that
+// cells, segment skipping, txn prefilter), then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
 //   - FlipperMiner over a v1 FlipperStore round trip,
@@ -158,11 +158,7 @@ MiningConfig RandomConfig(Rng* rng) {
       PruningOptions::FlippingOnly(), PruningOptions::Basic()};
   config.pruning = kPruning[rng->Below(4)];
   config.enable_scan_cells = rng->Bernoulli(0.7);
-  config.enable_pipelining = rng->Bernoulli(0.7);
-  config.enable_row_overlap = rng->Bernoulli(0.7);
-  config.enable_arena_scan_counters = rng->Bernoulli(0.7);
   config.enable_segment_skipping = rng->Bernoulli(0.75);
-  config.enable_flat_trie = rng->Bernoulli(0.7);
   config.enable_txn_prefilter = rng->Bernoulli(0.7);
   return config;
 }
@@ -182,13 +178,8 @@ std::string DescribeConfig(const MiningConfig& config) {
          " counter=" + std::string(CounterKindToString(config.counter)) +
          " pruning=" + config.pruning.ToString() +
          " scan_cells=" + std::to_string(config.enable_scan_cells) +
-         " pipelining=" + std::to_string(config.enable_pipelining) +
-         " row_overlap=" + std::to_string(config.enable_row_overlap) +
-         " arena_counters=" +
-         std::to_string(config.enable_arena_scan_counters) +
          " skipping=" +
          std::to_string(config.enable_segment_skipping) +
-         " flat_trie=" + std::to_string(config.enable_flat_trie) +
          " prefilter=" + std::to_string(config.enable_txn_prefilter);
 }
 

@@ -193,14 +193,34 @@ TEST(CanonicalCacheKeyTest, ExcludesExecutionKnobs) {
   // them as equal so a cached body answers all combinations.
   b.counter = CounterKind::kVertical;
   b.num_threads = 3;
-  b.enable_pipelining = false;
-  b.enable_flat_trie = false;
+  b.enable_txn_prefilter = false;
+  b.enable_segment_skipping = false;
   EXPECT_EQ(CanonicalCacheKey(a), CanonicalCacheKey(b));
   b.gamma = 0.5;
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(b));
   MineRequest c = a;
   c.format = "csv";
   EXPECT_NE(CanonicalCacheKey(a), CanonicalCacheKey(c));
+}
+
+// --- option table -----------------------------------------------------
+
+TEST(MineOptionsTest, EveryTableKeyReachesTheCheckedParser) {
+  // The CLI registers its flags from MineOptions(); a row without a
+  // parser branch would be a flag that always fails as unknown.
+  for (const MineOptionSpec& option : MineOptions()) {
+    MineRequest request;
+    const Status applied = ApplyMineOption(&request, option.key, "");
+    EXPECT_EQ(applied.ToString().find("unknown mine option"),
+              std::string::npos)
+        << option.key;
+  }
+  EXPECT_EQ(MineOptionKeys().size(), MineOptions().size());
+  MineRequest request;
+  const Status removed = ApplyMineOption(&request, "pipeline", "off");
+  EXPECT_NE(removed.ToString().find("unknown mine option 'pipeline'"),
+            std::string::npos)
+      << removed;
 }
 
 // --- store registry ---------------------------------------------------
@@ -377,7 +397,9 @@ TEST(ServerTest, ConcurrentQueriesAreByteIdenticalToSoloRuns) {
   // options through a different engine path must be served from cache.
   auto knobs = configs[0];
   knobs.emplace_back("counter", "vertical");
-  knobs.emplace_back("pipeline", "off");
+  knobs.emplace_back("txn-prefilter", "off");
+  knobs.emplace_back("segment-skipping", "off");
+  knobs.emplace_back("threads", "1");
   auto knob_hit = MineOnce(options.socket_path, "d", knobs);
   ASSERT_TRUE(knob_hit.ok() && knob_hit->ok);
   EXPECT_EQ(knob_hit->Meta("cache"), "hit");
@@ -471,6 +493,13 @@ TEST(ServerTest, UnknownStoreAndBadOptionAreCleanErrors) {
   ASSERT_TRUE(bad.ok()) << bad.status();
   EXPECT_FALSE(bad->ok);
   EXPECT_NE(bad->error.find("'2.5'"), std::string::npos) << bad->error;
+
+  // A removed execution knob is an unknown option, not a silent no-op.
+  auto removed = MineOnce(options.socket_path, "d", {{"flat-trie", "off"}});
+  ASSERT_TRUE(removed.ok()) << removed.status();
+  EXPECT_FALSE(removed->ok);
+  EXPECT_NE(removed->error.find("'flat-trie'"), std::string::npos)
+      << removed->error;
 
   server.Stop();
   std::remove(store_path.c_str());

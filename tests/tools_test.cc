@@ -503,6 +503,15 @@ TEST_F(FlipperCliEndToEnd, UsageErrorsReturnTwo) {
   ASSERT_EQ(RunCli({"--help"}, &out_, &err_), 0);
   EXPECT_NE(out_.find("convert"), std::string::npos);
   EXPECT_NE(out_.find("datagen"), std::string::npos);
+
+  // A removed execution knob is an unknown flag: exit 2 with usage.
+  EXPECT_EQ(RunCli({"mine", basket_, taxonomy_, "--pipeline=off"}, &out_,
+                   &err_),
+            2);
+  EXPECT_NE(err_.find("unknown flag --pipeline"), std::string::npos)
+      << err_;
+  EXPECT_NE(err_.find("flipper_cli mine"), std::string::npos) << err_;
+  EXPECT_NE(err_.find("flags:"), std::string::npos) << err_;
 }
 
 TEST(ScanCells, ToggleDoesNotChangeResults) {

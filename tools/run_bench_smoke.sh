@@ -3,8 +3,8 @@
 # --bench, as the `bench_smoke` CTest does), run bench_micro at a small
 # scale, and validate that bench_results/bench_micro.json parses and
 # contains the perf-trajectory cases this repo tracks — in particular
-# the trie_flat_vs_legacy, txn_prefilter, trie_probe_kernels,
-# row_trie_reuse and scan_counter series with non-zero measurements.
+# the trie_flat, txn_prefilter, trie_probe_kernels, row_trie_reuse,
+# scan_counter_arena and miner_quest series with non-zero measurements.
 #
 # With --record the validated run is additionally distilled into a
 # committed trajectory snapshot (median/p95 wall + peak RSS per case,
@@ -97,13 +97,12 @@ with open(sys.argv[1]) as f:
 
 cases = {c["name"]: c for c in doc["cases"]}
 required_prefixes = [
-    "trie_flat_vs_legacy",
+    "trie_flat_quest",
     "txn_prefilter",
     "trie_probe_kernels",
     "row_trie_reuse",
-    "scan_counter_map",
     "scan_counter_arena",
-    "miner_pipelined",
+    "miner_quest",
     "horizontal_scan_threads_1",
 ]
 failures = []
@@ -135,8 +134,8 @@ print(f"bench smoke OK: {len(cases)} cases validated")
 EOF
 else
   echo "python3 unavailable; falling back to grep validation" >&2
-  for prefix in trie_flat_vs_legacy txn_prefilter trie_probe_kernels \
-                row_trie_reuse scan_counter; do
+  for prefix in trie_flat_quest txn_prefilter trie_probe_kernels \
+                row_trie_reuse scan_counter_arena miner_quest; do
     if ! grep -q "\"name\": \"$prefix" "$JSON"; then
       echo "bench smoke FAILED: no case named $prefix*" >&2
       exit 1

@@ -4,7 +4,8 @@
 # for readiness via `query --op ping` and asserts the daemon speaks
 # the expected protocol schema, drives `loadgen` with
 # byte-verification against solo in-process mines (--expect-from),
-# requires at least one verified cache hit, storms the socket with
+# requires at least one verified cache hit and a non-zero p50 client
+# latency, storms the socket with
 # fault-injected connections (`loadgen --chaos`) and requires the
 # daemon to stay healthy, parses the daemon's `stats` JSON (latency
 # percentiles included), asks for `shutdown` over the protocol and
@@ -97,6 +98,13 @@ CACHE_HITS="$(sed -n 's/.*mismatched, \([0-9]*\) cache hits.*/\1/p' \
 if [[ -z "$CACHE_HITS" || "$CACHE_HITS" -lt 1 ]]; then
   echo "FAIL: expected at least one verified cache hit, got" \
     "'${CACHE_HITS:-none}'" >&2
+  exit 1
+fi
+# Client latencies are fractional milliseconds: a cache hit still
+# costs a socket round trip, so a p50 of exactly 0.00 means the samples
+# were truncated to whole milliseconds.
+if grep -q "latency ms: p50 0\.00," <<<"$LOADGEN_OUT"; then
+  echo "FAIL: loadgen p50 latency reads 0.00 ms (truncated samples)" >&2
   exit 1
 fi
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
-# Race-checks the parallel paths (thread pool, sharded counting, the
-# cell pipeline's cross-cell overlap and cross-row overlap — the
-# early-started Q(h+1,2) scan racing Q(h,max_k)'s evaluation is
-# exactly the shape TSan is for) under ThreadSanitizer. Uses the
+# Race-checks the parallel paths (thread pool, sharded counting and
+# scan cells, the cell pipeline's asynchronous count dispatch and join,
+# the serve daemon) under ThreadSanitizer. Uses the
 # `tsan` CMake preset when available, falling back to explicit -D
 # flags on older CMake.
 set -euo pipefail
@@ -10,13 +9,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR=build-tsan
 
-# The parallel suites (cell_pipeline_test sweeps serial/pipelined/
-# row-overlap/map-counter modes at 1/2/4/hw threads — row overlap and
-# arena counters are on by default everywhere else too; storage_test
+# The parallel suites (cell_pipeline_test mines every scenario,
+# scan-driven cells included, at 1/2/4/hw threads; storage_test
 # mines borrowed mmap views at 4 threads; segment_skipping_test and
 # the fuzz harness drive the catalog-guided sharded scans;
-# trie_invariance_test exercises the flat-trie/prefilter/row-overlap
-# grid, every forced probe kernel, and the counter's pooled trie
+# trie_invariance_test exercises the prefilter on/off grid at 1 and 4
+# threads, every forced probe kernel, and the counter's pooled trie
 # reuse across async counts; trace_test and pipeline_metrics_test
 # hammer the observability layer's concurrent span recording and the
 # pool-task observer from many threads — the lock-free per-thread
