@@ -205,6 +205,17 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
     return 1;
   }
 
+  // --- Open and mine inside a per-query trace session. Spans land in
+  // this run's own session — never in the process-wide default — so
+  // concurrent in-process callers (the daemon, tests) can each trace
+  // without interleaving, and the global tracing state is untouched.
+  MetricsRegistry metrics;
+  MetricsRegistry* metrics_ptr =
+      metrics_path.empty() ? nullptr : &metrics;
+  trace::Session session;
+  const bool tracing = !trace_path.empty();
+  if (tracing) session.SetEnabled(true);
+
   // --- Load inputs: either the store's borrowed views or text. ---
   ItemDictionary text_dict;
   Taxonomy text_taxonomy;
@@ -214,6 +225,12 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
   const Taxonomy* taxonomy = &text_taxonomy;
   const TransactionDb* db = &text_db;
   if (use_store) {
+    // The open (mapping, varint decode, validation) is a stage of the
+    // run like any other: traced as "store_open" and reported as
+    // stage.store_open_ms.
+    trace::SessionScope scope(&session);
+    ScopedStageTimer timer(metrics_ptr, "store_open");
+    FLIPPER_TRACE_SPAN("store_open", "stage");
     storage::OpenOptions open_options;
     open_options.validate = !args.GetSwitch("no-validate");
     auto opened = storage::StoreReader::Open(args.GetString("input", ""),
@@ -243,16 +260,6 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
     text_db = std::move(loaded_db).value();
   }
 
-  // --- Mine inside a per-query trace session. Spans land in this
-  // run's own session — never in the process-wide default — so
-  // concurrent in-process callers (the daemon, tests) can each trace
-  // without interleaving, and the global tracing state is untouched.
-  MetricsRegistry metrics;
-  MetricsRegistry* metrics_ptr =
-      metrics_path.empty() ? nullptr : &metrics;
-  trace::Session session;
-  const bool tracing = !trace_path.empty();
-  if (tracing) session.SetEnabled(true);
   auto outcome = [&]() -> Result<service::MineOutcome> {
     trace::SessionScope scope(&session);
     if (args.GetSwitch("baseline")) {

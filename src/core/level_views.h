@@ -1,7 +1,9 @@
 // LevelViews: per-abstraction-level generalized databases plus the
 // derived structures the counting engines need (single-item supports,
-// optional vertical indexes). Level h's view is the input database with
-// every item replaced by its level-h generalization (paper Figure 4).
+// width histograms, segment catalogs, optional vertical indexes).
+// Level h's view is the input database with every item replaced by its
+// level-h generalization (paper Figure 4); the deepest level's view is
+// the input database itself.
 
 #ifndef FLIPPER_CORE_LEVEL_VIEWS_H_
 #define FLIPPER_CORE_LEVEL_VIEWS_H_
@@ -53,13 +55,25 @@ class LevelViews {
   /// Creates an empty view (no levels); assign from Build().
   LevelViews() = default;
 
-  /// Materializes levels 1..taxonomy.height(). Fails if a transaction
-  /// contains an item that is not a taxonomy node (every transaction
-  /// item must map to a node at every level). A non-null `pool`
-  /// parallelizes the per-level generalization scans; it is used only
-  /// for the duration of the call — the views keep no reference to it,
-  /// so they can outlive the build pool and be shared (read-only)
-  /// across concurrent queries that each bring their own pool.
+  /// Materializes levels 1..taxonomy.height() in one sharded pass over
+  /// the leaf transactions: it validates every item, writes every
+  /// generalized level 1..H-1 and counts each level's supports and
+  /// width histogram, then stitches the shards in shard order, so the
+  /// result is identical for every pool size. Fails if a transaction
+  /// contains an item that is not a taxonomy leaf; the error names the
+  /// lowest such transaction. A non-null `pool` shards the pass and the
+  /// catalog builds; it is used only for the duration of the call — the
+  /// views keep no reference to it, so they can outlive the build pool
+  /// and be shared (read-only) across concurrent queries that each
+  /// bring their own pool.
+  ///
+  /// Lifetime: level H *is* `leaf_db` (LevelMap(H) is the identity on
+  /// leaves). Its view is a copy of the db object: zero-copy when
+  /// `leaf_db` is borrowed (e.g. a StoreReader's db()), a plain copy of
+  /// the arrays when it is owned. So the views must not outlive the
+  /// storage a borrowed `leaf_db` points into — declare the owner of
+  /// that storage (the StoreReader) before the views, as StoreEntry
+  /// does.
   static Result<LevelViews> Build(const TransactionDb& leaf_db,
                                   const Taxonomy& taxonomy,
                                   ThreadPool* pool,

@@ -35,12 +35,21 @@ SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
                                      uint32_t tracked_items,
                                      uint32_t bitset_words,
                                      ThreadPool* pool) {
+  return Build(db, std::move(boundaries), db.ItemFrequencies(),
+               tracked_items, bitset_words, pool);
+}
+
+SegmentCatalog SegmentCatalog::Build(const TransactionDb& db,
+                                     std::vector<uint64_t> boundaries,
+                                     std::span<const uint32_t> freq,
+                                     uint32_t tracked_items,
+                                     uint32_t bitset_words,
+                                     ThreadPool* pool) {
   SegmentCatalog catalog;
   catalog.bitset_words_ = std::max(1u, bitset_words);
   catalog.boundaries_ = std::move(boundaries);
   const size_t num_segments = catalog.boundaries_.size() - 1;
 
-  const std::vector<uint32_t> freq = db.ItemFrequencies();
   catalog.tracked_ids_ = TopKByFrequency(freq, tracked_items);
   const size_t tracked = catalog.tracked_ids_.size();
 

@@ -17,8 +17,8 @@
 // missed skip, never a wrong support.
 //
 // The catalog is persisted as the kSegCatalog section of a v2
-// FlipperStore file and rebuilt per abstraction level by LevelViews
-// for the generalized databases (same transaction boundaries, level-h
+// FlipperStore file and built per abstraction level by LevelViews for
+// the generalized databases (same transaction boundaries, level-h
 // vocabulary).
 
 #ifndef FLIPPER_DATA_SEGMENT_CATALOG_H_
@@ -57,6 +57,15 @@ class SegmentCatalog {
   /// a pool shards the work without changing the result.
   static SegmentCatalog Build(const TransactionDb& db,
                               std::vector<uint64_t> boundaries,
+                              uint32_t tracked_items = kDefaultTrackedItems,
+                              uint32_t bitset_words = kDefaultBitsetWords,
+                              ThreadPool* pool = nullptr);
+  /// As above, with the item frequencies already known: `item_freq`
+  /// must equal db.ItemFrequencies() (LevelViews passes the supports
+  /// its generalize pass counted, so the catalog skips the recount).
+  static SegmentCatalog Build(const TransactionDb& db,
+                              std::vector<uint64_t> boundaries,
+                              std::span<const uint32_t> item_freq,
                               uint32_t tracked_items = kDefaultTrackedItems,
                               uint32_t bitset_words = kDefaultBitsetWords,
                               ThreadPool* pool = nullptr);

@@ -5,8 +5,9 @@
 // of the input data" (§5).
 //
 // The CSR arrays either live in owned vectors (the default, grown via
-// Add/Append) or borrow externally owned memory — e.g. sections of a
-// memory-mapped FlipperStore file — via FromBorrowed(). Reads are
+// Add or handed over whole by a bulk builder) or borrow externally
+// owned memory — e.g. sections of a memory-mapped FlipperStore file —
+// via FromBorrowed(). Reads are
 // identical either way; a mutating call on a borrowed db first copies
 // the borrowed data into owned storage.
 
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "data/itemset.h"
 #include "data/types.h"
 
@@ -39,6 +39,13 @@ class TransactionDb {
   TransactionDb(TransactionDb&& other) noexcept;
   TransactionDb& operator=(TransactionDb&& other) noexcept;
   ~TransactionDb() = default;
+
+  /// Takes ownership of prebuilt CSR arrays (the bulk builder's
+  /// constructor, e.g. LevelViews' fused generalize pass). The same
+  /// invariants as FromBorrowed hold, and `alphabet_size` / `max_width`
+  /// must describe `items`; the caller guarantees all of it.
+  TransactionDb(std::vector<uint64_t> offsets, std::vector<ItemId> items,
+                ItemId alphabet_size, uint32_t max_width);
 
   /// Wraps externally owned CSR storage without copying. `offsets`
   /// must hold N + 1 monotone boundaries starting at 0 and ending at
@@ -99,15 +106,10 @@ class TransactionDb {
   /// Rewrites every item through `ancestor_of` (size >= alphabet_size())
   /// and returns the generalized database; duplicates collapse, so
   /// generalized transactions can be narrower. Items mapped to
-  /// kInvalidItem are dropped. With a pool the rewrite is sharded over
-  /// contiguous transaction ranges and stitched back in shard order, so
-  /// the result is identical to the serial rewrite.
-  TransactionDb Generalize(std::span<const ItemId> ancestor_of,
-                           ThreadPool* pool = nullptr) const;
-
-  /// Appends every transaction of `other` (already sorted/deduped),
-  /// preserving order.
-  void Append(const TransactionDb& other);
+  /// kInvalidItem are dropped. A serial, one-transaction-at-a-time
+  /// rewrite: the reference the tests hold LevelViews::Build's fused
+  /// multi-level pass against.
+  TransactionDb Generalize(std::span<const ItemId> ancestor_of) const;
 
   /// Approximate heap footprint in bytes (borrowed storage counts as
   /// zero — it belongs to the backing file/mapping).
@@ -126,7 +128,7 @@ class TransactionDb {
   /// Attaches a segment catalog describing this database (its
   /// boundaries must end at size()). The catalog is advisory metadata
   /// for scan skipping; it is shared by copies and dropped by any
-  /// mutation that could invalidate it (Add/Append).
+  /// mutation that could invalidate it (Add).
   void AttachSegmentCatalog(std::shared_ptr<const SegmentCatalog> catalog) {
     catalog_ = std::move(catalog);
   }

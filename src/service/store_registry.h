@@ -38,6 +38,9 @@ struct StoreEntry {
   /// Content fingerprint (file size + mtime + header identity); part
   /// of every result-cache key derived from this entry.
   std::string fingerprint;
+  /// Must be declared before `views`: the views' leaf level borrows
+  /// the reader's decoded columns or mapping (LevelViews::Build's
+  /// lifetime contract), so the views have to be destroyed first.
   storage::StoreReader reader;
   /// Pre-built with catalogs over all levels. Queries whose config
   /// disables skipping simply never consult them — results stay

@@ -118,33 +118,5 @@ TEST_P(CounterAgreement, HorizontalEqualsVerticalAcrossLevels) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CounterAgreement,
                          ::testing::Values(7, 8, 9));
 
-TEST(LevelViews, RejectsNonLeafAndUnknownItems) {
-  testutil::Dataset data = testutil::PaperToyDataset();
-  // A transaction containing an internal node must be rejected.
-  TransactionDb bad_db;
-  bad_db.Add({*data.dict.Find("a1")});
-  EXPECT_FALSE(LevelViews::Build(bad_db, data.taxonomy).ok());
-
-  // A transaction containing an id outside the taxonomy.
-  TransactionDb unknown_db;
-  unknown_db.Add({static_cast<ItemId>(data.taxonomy.id_space() + 5)});
-  EXPECT_FALSE(LevelViews::Build(unknown_db, data.taxonomy).ok());
-}
-
-TEST(LevelViews, SingleSupportsMatchGeneralizedFrequencies) {
-  testutil::Dataset data = testutil::PaperToyDataset();
-  auto views = LevelViews::Build(data.db, data.taxonomy);
-  ASSERT_TRUE(views.ok());
-  EXPECT_EQ(views->height(), 3);
-  EXPECT_EQ(views->num_transactions(), 10u);
-  // Paper Example 3: sup(a) = 8, sup(b) = 9 at level 1.
-  EXPECT_EQ(views->ItemSupport(1, *data.dict.Find("a")), 8u);
-  EXPECT_EQ(views->ItemSupport(1, *data.dict.Find("b")), 9u);
-  // Level 2: sup(a1) = 6, sup(b1) = 6.
-  EXPECT_EQ(views->ItemSupport(2, *data.dict.Find("a1")), 6u);
-  EXPECT_EQ(views->ItemSupport(2, *data.dict.Find("b1")), 6u);
-  EXPECT_GE(views->MaxUniversalWidth(), 2u);
-}
-
 }  // namespace
 }  // namespace flipper

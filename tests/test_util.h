@@ -4,11 +4,15 @@
 #ifndef FLIPPER_TESTS_TEST_UTIL_H_
 #define FLIPPER_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "core/level_views.h"
+#include "data/segment_catalog.h"
 #include "data/item_dictionary.h"
 #include "data/transaction_db.h"
 #include "taxonomy/taxonomy.h"
@@ -126,6 +130,82 @@ inline Dataset RandomDataset(uint64_t seed, uint32_t num_roots = 4,
     out.db.Add(txn);
   }
   return out;
+}
+
+/// Empty when the two databases hold the same transactions with the
+/// same alphabet and width bounds; otherwise the first difference.
+inline std::string DbDiff(const TransactionDb& a, const TransactionDb& b) {
+  if (a.size() != b.size()) {
+    return "size " + std::to_string(a.size()) + " vs " +
+           std::to_string(b.size());
+  }
+  if (a.alphabet_size() != b.alphabet_size()) {
+    return "alphabet_size " + std::to_string(a.alphabet_size()) + " vs " +
+           std::to_string(b.alphabet_size());
+  }
+  if (a.max_width() != b.max_width()) {
+    return "max_width " + std::to_string(a.max_width()) + " vs " +
+           std::to_string(b.max_width());
+  }
+  if (a.total_items() != b.total_items()) return "total_items differ";
+  for (TxnId t = 0; t < a.size(); ++t) {
+    const auto x = a.Get(t);
+    const auto y = b.Get(t);
+    if (!std::equal(x.begin(), x.end(), y.begin(), y.end())) {
+      return "transaction " + std::to_string(t) + " differs";
+    }
+  }
+  return "";
+}
+
+/// Empty when the two catalogs (either may be null) are identical.
+inline std::string CatalogDiff(const SegmentCatalog* a,
+                               const SegmentCatalog* b) {
+  if ((a == nullptr) != (b == nullptr)) return "catalog presence differs";
+  if (a == nullptr) return "";
+  const auto same = [](auto x, auto y) {
+    return std::equal(x.begin(), x.end(), y.begin(), y.end());
+  };
+  if (!same(a->boundaries(), b->boundaries())) return "catalog boundaries";
+  if (a->bitset_words() != b->bitset_words()) return "catalog bitset words";
+  if (!same(a->tracked_ids(), b->tracked_ids())) return "catalog tracked ids";
+  for (size_t seg = 0; seg < a->num_segments(); ++seg) {
+    if (a->min_item(seg) != b->min_item(seg) ||
+        a->max_item(seg) != b->max_item(seg) ||
+        !same(a->segment_bits(seg), b->segment_bits(seg)) ||
+        !same(a->segment_tracked_supports(seg),
+              b->segment_tracked_supports(seg))) {
+      return "catalog segment " + std::to_string(seg);
+    }
+  }
+  return "";
+}
+
+/// Empty when every level of the two views holds the same database,
+/// supports, width histogram and catalog; otherwise the first
+/// difference, prefixed with its level.
+inline std::string ViewsDiff(const LevelViews& a, const LevelViews& b) {
+  if (a.height() != b.height()) return "height differs";
+  if (a.num_transactions() != b.num_transactions()) {
+    return "num_transactions differs";
+  }
+  for (int h = 1; h <= a.height(); ++h) {
+    const LevelData& x = a.Level(h);
+    const LevelData& y = b.Level(h);
+    const std::string level = "level " + std::to_string(h) + ": ";
+    if (x.level != y.level) return level + "level tag";
+    if (const std::string d = DbDiff(x.db, y.db); !d.empty()) {
+      return level + d;
+    }
+    if (x.item_support != y.item_support) return level + "item_support";
+    if (x.width_hist != y.width_hist) return level + "width_hist";
+    if (const std::string d =
+            CatalogDiff(x.catalog.get(), y.catalog.get());
+        !d.empty()) {
+      return level + d;
+    }
+  }
+  return "";
 }
 
 }  // namespace testutil

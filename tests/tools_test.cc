@@ -403,6 +403,42 @@ void DumpFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+TEST_F(FlipperCliEndToEnd, MineReportsTheStoreOpenStage) {
+  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
+            0)
+      << err_;
+  const std::string trace_path = ::testing::TempDir() + "cli_open.json";
+  const std::string metrics_path =
+      ::testing::TempDir() + "cli_open_metrics.json";
+  ASSERT_EQ(RunCli({"mine", "--input", store_, "--gamma=0.6",
+                    "--epsilon=0.35", "--minsup=0.1", "--trace-out",
+                    trace_path, "--metrics-json", metrics_path},
+                   &out_, &err_),
+            0)
+      << err_;
+  EXPECT_NE(out_.find("a11"), std::string::npos);
+  // The open is a run stage: a stage.store_open_ms histogram next to
+  // the miner's own stages, and a "store_open" stage span in the trace.
+  const std::string metrics = SlurpFile(metrics_path);
+  EXPECT_NE(metrics.find("\"stage.store_open_ms\""), std::string::npos);
+  EXPECT_NE(metrics.find("\"stage.views_build_ms\""), std::string::npos);
+  const std::string trace = SlurpFile(trace_path);
+  EXPECT_NE(trace.find("\"name\":\"store_open\",\"cat\":\"stage\""),
+            std::string::npos)
+      << trace.substr(0, 400);
+  EXPECT_NE(trace.find("\"name\":\"mine\""), std::string::npos);
+
+  // Text input opens no store, so it reports no store_open stage.
+  ASSERT_EQ(RunCli({"mine", basket_, taxonomy_, "--gamma=0.6",
+                    "--epsilon=0.35", "--minsup=0.1", "--metrics-json",
+                    metrics_path},
+                   &out_, &err_),
+            0)
+      << err_;
+  EXPECT_EQ(SlurpFile(metrics_path).find("stage.store_open_ms"),
+            std::string::npos);
+}
+
 TEST_F(FlipperCliEndToEnd, ValidateAndRepairRecoverATornStore) {
   ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
             0)

@@ -4,7 +4,8 @@
 // Chrome JSON export is structurally valid, tracing does not change
 // mined patterns, the CLI writes --trace-out files, and — the
 // acceptance bar — the driver-thread stage spans cover >= 95% of the
-// mining wall time on the groceries example.
+// mining wall time on the groceries example, with the views_build
+// stage split into its generalize / stitch / catalogs layers.
 
 #include <gtest/gtest.h>
 
@@ -286,6 +287,31 @@ TEST_F(TraceTest, StageSpansCoverMiningWallTimeOnGroceries) {
         "evaluate", "evict", "assemble"}) {
     EXPECT_TRUE(per_stage.count(stage)) << "no '" << stage << "' span";
   }
+
+  // The views_build stage splits into its layers: each detail span
+  // appears on the driver thread, nested inside views_build.
+  trace::Span views_build;
+  std::map<std::string, std::vector<trace::Span>> views_layers;
+  trace::ForEachSpan(
+      [&](int tid, const std::string&, const trace::Span& s) {
+        const std::string name = s.name;
+        if (name == "views_build") views_build = s;
+        if (name.rfind("views_", 0) == 0 && name != "views_build") {
+          EXPECT_EQ(tid, driver_tid) << name;
+          views_layers[name].push_back(s);
+        }
+      });
+  ASSERT_GT(views_build.dur_ns, 0u);
+  for (const char* layer :
+       {"views_generalize", "views_stitch", "views_catalogs"}) {
+    ASSERT_EQ(views_layers[layer].size(), 1u) << layer;
+    const trace::Span& span = views_layers[layer][0];
+    EXPECT_GE(span.start_ns, views_build.start_ns) << layer;
+    EXPECT_LE(span.start_ns + span.dur_ns,
+              views_build.start_ns + views_build.dur_ns)
+        << layer;
+  }
+  EXPECT_EQ(views_layers.size(), 3u) << "unexpected views_* span";
 }
 
 /// Drives RunFlipperCli as a subprocess would, capturing both streams.

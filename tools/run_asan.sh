@@ -18,10 +18,12 @@ BUILD_DIR=build-asan
 # torn frames, service_test runs the daemon end to end, and
 # service_robustness_test adds deadline unwinds, mid-mine hangups and
 # a fault-injected connection storm — all paths where a leak or
-# over-read would hide behind "the query just failed".
+# over-read would hide behind "the query just failed". level_views_test
+# covers the views' leaf level, which borrows a store reader's decoded
+# columns: a lifetime slip there is a use-after-free.
 SUITES=(storage_test crash_recovery_test tools_test
         fuzz_differential_test protocol_fuzz_test service_test
-        service_robustness_test)
+        service_robustness_test level_views_test)
 
 # Instrumented fuzz rounds are slower; a few are enough to cover the
 # decode paths (override by exporting FLIPPER_FUZZ_ITERS).
