@@ -226,13 +226,17 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
   const TransactionDb* db = &text_db;
   if (use_store) {
     // The open (mapping, varint decode, validation) is a stage of the
-    // run like any other: traced as "store_open" and reported as
-    // stage.store_open_ms.
+    // run like any other: traced as "store_open" (with its
+    // "store_decode" / "store_check" passes nested) and reported as
+    // stage.store_open_ms. It runs on as many threads as the mine, so
+    // --threads 1 stays serial end to end.
     trace::SessionScope scope(&session);
     ScopedStageTimer timer(metrics_ptr, "store_open");
     FLIPPER_TRACE_SPAN("store_open", "stage");
+    ThreadPool open_pool(request.num_threads);
     storage::OpenOptions open_options;
     open_options.validate = !args.GetSwitch("no-validate");
+    open_options.pool = &open_pool;
     auto opened = storage::StoreReader::Open(args.GetString("input", ""),
                                              open_options);
     if (!opened.ok()) {

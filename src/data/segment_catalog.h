@@ -107,7 +107,7 @@ class SegmentCatalog {
 
   /// Bit index of `item` in a `num_bits`-wide segment bitset. This is
   /// the single definition of the catalog hash: the store writer, the
-  /// reader's validation rebuild and every MayContain probe go through
+  /// reader's catalog check and every MayContain probe go through
   /// it, so they can never diverge (a divergent hash would silently
   /// mis-skip live segments).
   static uint32_t HashBit(ItemId item, uint32_t num_bits) {

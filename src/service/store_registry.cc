@@ -120,13 +120,15 @@ std::vector<std::string> StoreRegistry::Names() const {
 Result<std::shared_ptr<const StoreEntry>> StoreRegistry::Load(
     const std::string& name, const std::string& path) const {
   FLIPPER_ASSIGN_OR_RETURN(FileStamp stamp, StatFile(path));
+  // One load-only pool runs the sharded open and the view build; the
+  // reader and the views keep no reference to it.
+  ThreadPool build_pool(options_.build_threads);
   storage::OpenOptions open_options;
   open_options.validate = options_.validate;
+  open_options.pool = &build_pool;
   FLIPPER_ASSIGN_OR_RETURN(storage::StoreReader reader,
                            storage::StoreReader::Open(path, open_options));
-  // Build the shared views once, catalogs included, with a build-only
-  // pool; the views keep no reference to it (LevelViews::Build).
-  ThreadPool build_pool(options_.build_threads);
+  // Build the shared views once, catalogs included.
   LevelViews::BuildOptions view_options;
   view_options.build_catalogs = true;
   auto views = LevelViews::Build(reader.db(), reader.taxonomy(),

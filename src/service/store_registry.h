@@ -56,7 +56,8 @@ class StoreRegistry {
   struct Options {
     /// Run the payload-validation scan on open (OpenOptions::validate).
     bool validate = true;
-    /// Worker threads for the one-time view build (0 = hardware).
+    /// Worker threads for loading a store — the sharded open and the
+    /// one-time view build (0 = hardware).
     int build_threads = 0;
   };
 

@@ -4,7 +4,9 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <optional>
 
+#include "common/trace.h"
 #include "storage/varint.h"
 #include "taxonomy/taxonomy_builder.h"
 
@@ -68,161 +70,365 @@ Result<FileHeader> ParseHeaderAt(const std::byte* at, uint64_t avail,
   return h;
 }
 
-/// Sequential varint reader over a chain of column blocks (table
-/// order). Blocks end on transaction boundaries, so a varint that
-/// would straddle two blocks is corruption and decodes as truncated.
-class BlockCursor {
- public:
-  BlockCursor(const std::byte* base,
-              std::span<const SectionEntry* const> blocks)
-      : base_(base), blocks_(blocks) {}
+/// Smallest varint column chunk of the sharded decode. A store whose
+/// columns fit one chunk each opens inline (see OpenOptions::pool).
+constexpr uint64_t kMinChunkBytes = 64 * 1024;
+/// Column chunks per pool thread, so one slow chunk cannot stall the
+/// decode.
+constexpr uint64_t kChunksPerThread = 4;
+/// Transactions per shard of the check pass (below this, per-shard
+/// catalog buffers and their merge outweigh the parallelism).
+constexpr size_t kMinTxnsPerShard = 1024;
+/// ColumnChunk::bad when the chunk decoded every value it owns.
+constexpr uint64_t kNoBadValue = std::numeric_limits<uint64_t>::max();
 
-  bool Get(uint64_t* value) {
-    SkipExhausted();
-    return GetVarint(&pos_, end_, value);
+// Messages shared by the v1 and v2 payload checks.
+Status WidthOverflow(uint64_t txn) {
+  return Corrupt("transaction width overflows at txn " +
+                 std::to_string(txn));
+}
+Status ItemOutOfRange(uint64_t item, uint64_t txn) {
+  return Corrupt("item id " + std::to_string(item) +
+                 " out of range in txn " + std::to_string(txn));
+}
+Status ItemsNotSorted(uint64_t txn) {
+  return Corrupt("items of txn " + std::to_string(txn) +
+                 " are not sorted and duplicate-free");
+}
+Status MismatchWithHeader(const char* field, uint64_t recorded,
+                          uint64_t actual) {
+  return Corrupt(std::string(field) + " mismatch: header records " +
+                 std::to_string(recorded) + ", data has " +
+                 std::to_string(actual));
+}
+
+uint64_t ColumnBytes(std::span<const SectionEntry* const> blocks) {
+  uint64_t bytes = 0;
+  for (const SectionEntry* e : blocks) bytes += e->size;
+  return bytes;
+}
+
+/// A byte range of one varint column block. The chunk owns the varints
+/// whose terminator byte (high bit clear) lies inside it; the first of
+/// them may start in the chunk before. Blocks end on transaction
+/// boundaries, so a varint never spans two blocks: bytes past a
+/// block's last terminator are a truncated varint.
+struct ColumnChunk {
+  const uint8_t* block_begin = nullptr;
+  const uint8_t* begin = nullptr;
+  const uint8_t* end = nullptr;
+  bool block_last = false;  // the chunk ends its block
+  uint64_t first = 0;       // column index of the first owned varint
+  uint64_t count = 0;       // owned varints (terminator bytes)
+  /// Column index of the chunk's first value the decode could not
+  /// store: a truncated or over-long varint or, when `oversize`, a
+  /// well-formed `value` at or above the column's bound.
+  uint64_t bad = kNoBadValue;
+  bool oversize = false;
+  uint64_t value = 0;
+};
+
+/// Splits a column into chunks of `chunk_bytes` (the last chunk of
+/// each block may be shorter), in column order.
+std::vector<ColumnChunk> SplitColumn(
+    const std::byte* base, std::span<const SectionEntry* const> blocks,
+    uint64_t chunk_bytes) {
+  std::vector<ColumnChunk> chunks;
+  for (const SectionEntry* e : blocks) {
+    const auto* block = reinterpret_cast<const uint8_t*>(base + e->offset);
+    for (uint64_t at = 0; at < e->size; at += chunk_bytes) {
+      ColumnChunk c;
+      c.block_begin = block;
+      c.begin = block + at;
+      c.end = block + std::min(e->size, at + chunk_bytes);
+      c.block_last = c.end == block + e->size;
+      chunks.push_back(c);
+    }
+  }
+  return chunks;
+}
+
+/// Bytes per chunk of a `column_bytes` column decoded by `threads`.
+uint64_t ChunkBytes(uint64_t column_bytes, int threads) {
+  return std::max(kMinChunkBytes,
+                  column_bytes / (kChunksPerThread *
+                                  static_cast<uint64_t>(threads)));
+}
+
+/// Bytes in [p, end) with the high bit clear, i.e. varint terminators.
+uint64_t CountTerminators(const uint8_t* p, const uint8_t* end) {
+  uint64_t count = 0;
+  for (; end - p >= 8; p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    count += static_cast<uint64_t>(
+        std::popcount(~word & 0x8080808080808080ull));
+  }
+  for (; p < end; ++p) count += *p < 0x80;
+  return count;
+}
+
+/// Decodes the varints `c` owns into out[first..], stopping at the
+/// column's `expected` count, at the first bad value (recorded in `c`)
+/// or — when `c` ends its block — flagging the block's unterminated
+/// tail as a bad value at the next index.
+template <typename T>
+void DecodeChunk(uint64_t expected, uint64_t bound, T* out,
+                 ColumnChunk* c) {
+  // The first owned varint starts past the last terminator before the
+  // chunk. One that started more than kMaxVarintBytes back is over-long
+  // whatever its start, and GetVarint rejects it from here too.
+  const uint8_t* p = c->begin;
+  const uint8_t* floor =
+      p - std::min<ptrdiff_t>(kMaxVarintBytes, p - c->block_begin);
+  while (p > floor && p[-1] >= 0x80) --p;
+  const uint64_t n =
+      c->first < expected ? std::min(c->count, expected - c->first) : 0;
+  for (uint64_t k = 0; k < n; ++k) {
+    uint64_t value = 0;
+    if (!GetVarint(&p, c->end, &value)) {
+      c->bad = c->first + k;
+      return;
+    }
+    if (value >= bound) {
+      c->bad = c->first + k;
+      c->oversize = true;
+      c->value = value;
+      return;
+    }
+    out[c->first + k] = static_cast<T>(value);
+  }
+  if (n == c->count && c->block_last && p != c->end) {
+    c->bad = c->first + c->count;
+  }
+}
+
+/// Where a decoded column first goes wrong, in the order a serial
+/// reader finds it.
+struct ColumnVerdict {
+  /// Index of the first value that did not decode in range (truncated,
+  /// over-long, missing, or `oversize`), or the expected count when
+  /// every expected value did.
+  uint64_t stop = 0;
+  bool oversize = false;
+  uint64_t value = 0;  // the oversize value
+  /// Bytes follow the expected count's last varint.
+  bool trailing = false;
+};
+
+/// The verdict on a column of `expected` values from its decoded chunks
+/// (in column order, so the first bad chunk holds the lowest bad value).
+ColumnVerdict Verdict(std::span<const ColumnChunk> chunks,
+                      uint64_t expected) {
+  uint64_t total = 0;
+  const ColumnChunk* bad = nullptr;
+  for (const ColumnChunk& c : chunks) {
+    total += c.count;
+    if (bad == nullptr && c.bad != kNoBadValue) bad = &c;
+  }
+  ColumnVerdict verdict;
+  verdict.stop = std::min(expected, total);
+  if (bad != nullptr && bad->bad <= verdict.stop) {
+    verdict.stop = bad->bad;
+    verdict.oversize = bad->oversize;
+    verdict.value = bad->value;
+  }
+  verdict.trailing =
+      total > expected || (bad != nullptr && bad->bad >= expected);
+  return verdict;
+}
+
+/// Counts, shard by shard in the check pass, the figures a stored
+/// catalog section must match: item supports, and per segment the item
+/// bounds, the bitset and the supports of the section's tracked ids —
+/// what SegmentCatalog::Build produces with those tracked ids. A shard
+/// only counts items per segment (one increment each) and folds the
+/// distinct ones into the figures when it leaves the segment.
+class CatalogCounter {
+ public:
+  /// One shard's counts, for the segments from `first_segment` on that
+  /// its transaction range overlaps.
+  struct Shard {
+    size_t first_segment = 0;
+    size_t segment = 0;            // segment being counted
+    std::vector<uint32_t> counts;  // its item counts so far
+    std::vector<ItemId> touched;   // its items with a nonzero count
+    std::vector<uint32_t> freq;
+    std::vector<ItemId> min_item;
+    std::vector<ItemId> max_item;
+    std::vector<uint64_t> bits;
+    std::vector<uint32_t> tracked_supports;
+  };
+
+  /// `stored` passed the structural checks, so its tracked ids are
+  /// below `alphabet`.
+  CatalogCounter(const SegmentCatalog& stored, uint32_t alphabet)
+      : stored_(stored),
+        alphabet_(alphabet),
+        total_(NewShard(0, stored.num_segments())) {}
+
+  /// An empty shard for transactions [lo, hi), hi > lo.
+  Shard Begin(size_t lo, size_t hi) const {
+    const auto bounds = stored_.boundaries();
+    const auto segment_of = [&](size_t t) {
+      return static_cast<size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(), t) -
+          bounds.begin() - 1);
+    };
+    const size_t first = segment_of(lo);
+    Shard s = NewShard(first, segment_of(hi - 1) + 1 - first);
+    s.counts.assign(alphabet_, 0);
+    return s;
   }
 
-  /// True when every block's bytes have been consumed.
-  bool Exhausted() {
-    SkipExhausted();
-    return pos_ == end_;
+  /// Counts transaction `txn` (ascending within a shard).
+  void Add(Shard* s, size_t txn, std::span<const ItemId> items) const {
+    const auto bounds = stored_.boundaries();
+    if (txn >= bounds[s->segment + 1]) {
+      Fold(s);
+      while (txn >= bounds[s->segment + 1]) ++s->segment;
+    }
+    for (const ItemId item : items) {
+      if (s->counts[item]++ == 0) s->touched.push_back(item);
+    }
+  }
+
+  /// Folds a finished shard into the totals (call in shard order).
+  void Merge(Shard* s) {
+    Fold(s);
+    for (size_t i = 0; i < s->freq.size(); ++i) {
+      total_.freq[i] += s->freq[i];
+    }
+    const size_t words = stored_.bitset_words();
+    const size_t tracked = stored_.tracked_ids().size();
+    for (size_t j = 0; j < s->min_item.size(); ++j) {
+      const size_t seg = s->first_segment + j;
+      total_.min_item[seg] = std::min(total_.min_item[seg], s->min_item[j]);
+      total_.max_item[seg] = std::max(total_.max_item[seg], s->max_item[j]);
+      for (size_t w = 0; w < words; ++w) {
+        total_.bits[seg * words + w] |= s->bits[j * words + w];
+      }
+      for (size_t i = 0; i < tracked; ++i) {
+        total_.tracked_supports[seg * tracked + i] +=
+            s->tracked_supports[j * tracked + i];
+      }
+    }
+  }
+
+  /// The merged totals as a catalog with the stored tracked ids, plus
+  /// the item supports.
+  SegmentCatalog TakeCounted(std::vector<uint32_t>* item_freq) {
+    *item_freq = std::move(total_.freq);
+    const auto bounds = stored_.boundaries();
+    const auto tracked = stored_.tracked_ids();
+    return SegmentCatalog::FromParts(
+        std::vector<uint64_t>(bounds.begin(), bounds.end()),
+        stored_.bitset_words(),
+        std::vector<ItemId>(tracked.begin(), tracked.end()),
+        std::move(total_.min_item), std::move(total_.max_item),
+        std::move(total_.bits), std::move(total_.tracked_supports));
   }
 
  private:
-  void SkipExhausted() {
-    while (pos_ == end_ && idx_ < blocks_.size()) {
-      const SectionEntry& e = *blocks_[idx_++];
-      pos_ = reinterpret_cast<const uint8_t*>(base_ + e.offset);
-      end_ = pos_ + e.size;
-    }
+  Shard NewShard(size_t first_segment, size_t segments) const {
+    Shard s;
+    s.first_segment = first_segment;
+    s.segment = first_segment;
+    s.freq.assign(alphabet_, 0);
+    s.min_item.assign(segments, kInvalidItem);
+    s.max_item.assign(segments, 0);
+    s.bits.assign(segments * stored_.bitset_words(), 0);
+    s.tracked_supports.assign(segments * stored_.tracked_ids().size(), 0);
+    return s;
   }
 
-  const std::byte* base_;
-  std::span<const SectionEntry* const> blocks_;
-  size_t idx_ = 0;
-  const uint8_t* pos_ = nullptr;
-  const uint8_t* end_ = nullptr;
+  /// Folds the counts of the shard's current segment into its figures
+  /// and clears them.
+  void Fold(Shard* s) const {
+    if (s->touched.empty()) return;  // nothing counted (or no range)
+    const size_t j = s->segment - s->first_segment;
+    uint64_t* bits = s->bits.data() + j * stored_.bitset_words();
+    ItemId lo = s->min_item[j];
+    ItemId hi = s->max_item[j];
+    for (const ItemId item : s->touched) {
+      s->freq[item] += s->counts[item];
+      lo = std::min(lo, item);
+      hi = std::max(hi, item);
+      const uint32_t bit = stored_.BitIndex(item);
+      bits[bit / 64] |= uint64_t{1} << (bit % 64);
+    }
+    s->min_item[j] = lo;
+    s->max_item[j] = hi;
+    const auto tracked = stored_.tracked_ids();
+    for (size_t i = 0; i < tracked.size(); ++i) {
+      s->tracked_supports[j * tracked.size() + i] += s->counts[tracked[i]];
+    }
+    for (const ItemId item : s->touched) s->counts[item] = 0;
+    s->touched.clear();
+  }
+
+  const SegmentCatalog& stored_;
+  uint32_t alphabet_;
+  Shard total_;
 };
 
-}  // namespace
+/// The outcome of the sharded check pass.
+struct TxnCheck {
+  std::optional<Status> error;  // names the lowest failing transaction
+  uint64_t alphabet = 0;        // max item + 1, or 0 without items
+  uint32_t max_width = 0;
+};
 
-Status StoreReader::DecodeColumnsV2(
-    const std::byte* base,
-    std::span<const SectionEntry* const> offsets_blocks,
-    std::span<const SectionEntry* const> items_blocks, bool validate) {
-  const FileHeader& h = header_;
-
-  // Every varint occupies at least one byte, so the header counts are
-  // bounded by the section sizes. Checking first keeps the reserve()
-  // calls below from ballooning on a corrupt header (allocation
-  // failure would escape as bad_alloc, not a Status).
-  uint64_t offsets_bytes = 0;
-  for (const SectionEntry* e : offsets_blocks) offsets_bytes += e->size;
-  uint64_t items_bytes = 0;
-  for (const SectionEntry* e : items_blocks) items_bytes += e->size;
-  if (h.num_transactions > offsets_bytes) {
-    return Corrupt("txn_offsets section is too small for " +
-                   std::to_string(h.num_transactions) + " transactions");
+/// Runs `check(t, &txn)` over transactions [0, num_txns) in balanced
+/// shards on `pool`: it returns transaction t's error, or stores its
+/// item ids (sorted) in `txn`. Each shard stops at its first failing
+/// transaction and shards cover ascending ranges, so the first failing
+/// shard names the lowest failing transaction at every thread count.
+/// A `counter` also counts the catalog figures of every checked
+/// transaction, merged in shard order.
+template <typename Check>
+TxnCheck CheckTransactions(ThreadPool* pool, size_t num_txns,
+                           const Check& check, CatalogCounter* counter) {
+  struct Shard {
+    TxnCheck check;
+    CatalogCounter::Shard catalog;
+  };
+  const int num_shards = ShardCount(num_txns, pool, kMinTxnsPerShard);
+  std::vector<Shard> shards(static_cast<size_t>(num_shards));
+  ParallelFor(pool, 0, num_txns, num_shards,
+              [&](int s, size_t lo, size_t hi) {
+                Shard& shard = shards[static_cast<size_t>(s)];
+                TxnCheck& out = shard.check;
+                if (counter != nullptr) shard.catalog = counter->Begin(lo, hi);
+                for (size_t t = lo; t < hi; ++t) {
+                  std::span<const ItemId> txn;
+                  if ((out.error = check(t, &txn))) return;
+                  if (!txn.empty()) {
+                    out.alphabet =
+                        std::max<uint64_t>(out.alphabet, txn.back() + 1ull);
+                  }
+                  out.max_width = std::max(out.max_width,
+                                           static_cast<uint32_t>(txn.size()));
+                  if (counter != nullptr) counter->Add(&shard.catalog, t, txn);
+                }
+              });
+  TxnCheck out;
+  for (Shard& shard : shards) {
+    if (shard.check.error) return std::move(shard.check);
+    out.alphabet = std::max(out.alphabet, shard.check.alphabet);
+    out.max_width = std::max(out.max_width, shard.check.max_width);
+    if (counter != nullptr) counter->Merge(&shard.catalog);
   }
-  if (h.num_items > items_bytes) {
-    return Corrupt("txn_items section is too small for " +
-                   std::to_string(h.num_items) + " items");
-  }
-
-  // --- Widths column -> CSR offsets. ---
-  decoded_offsets_.clear();
-  decoded_offsets_.reserve(h.num_transactions + 1);
-  decoded_offsets_.push_back(0);
-  {
-    BlockCursor cursor(base, offsets_blocks);
-    uint32_t max_width = 0;
-    for (uint64_t t = 0; t < h.num_transactions; ++t) {
-      uint64_t width = 0;
-      if (!cursor.Get(&width)) {
-        return Corrupt("truncated varint in txn_offsets at txn " +
-                       std::to_string(t));
-      }
-      if (width > std::numeric_limits<uint32_t>::max()) {
-        return Corrupt("transaction width overflows at txn " +
-                       std::to_string(t));
-      }
-      decoded_offsets_.push_back(decoded_offsets_.back() + width);
-      max_width = std::max(max_width, static_cast<uint32_t>(width));
-    }
-    if (!cursor.Exhausted()) {
-      return Corrupt("txn_offsets section has trailing bytes");
-    }
-    if (decoded_offsets_.back() != h.num_items) {
-      return Corrupt("transaction offsets do not span the items");
-    }
-    if (max_width != h.max_width) {
-      return Corrupt("max_width mismatch: header records " +
-                     std::to_string(h.max_width) + ", data has " +
-                     std::to_string(max_width));
-    }
-  }
-
-  // --- Delta-encoded items column. ---
-  decoded_items_.clear();
-  decoded_items_.reserve(h.num_items);
-  {
-    BlockCursor cursor(base, items_blocks);
-    uint64_t max_item = 0;
-    bool any_item = false;
-    for (uint64_t t = 0; t < h.num_transactions; ++t) {
-      const uint64_t width =
-          decoded_offsets_[t + 1] - decoded_offsets_[t];
-      uint64_t item = 0;
-      for (uint64_t i = 0; i < width; ++i) {
-        uint64_t delta = 0;
-        if (!cursor.Get(&delta)) {
-          return Corrupt("truncated varint in txn_items at txn " +
-                         std::to_string(t));
-        }
-        if (i == 0) {
-          item = delta;
-        } else {
-          if (delta == 0) {
-            return Corrupt("items of txn " + std::to_string(t) +
-                           " are not sorted and duplicate-free");
-          }
-          // In-range items make every true gap < alphabet_size; a
-          // larger delta is either out of range or a 64-bit wraparound
-          // crafted to decode as an unsorted transaction — reject it
-          // before the addition can wrap.
-          if (delta >= h.alphabet_size) {
-            return Corrupt("item gap " + std::to_string(delta) +
-                           " out of range in txn " + std::to_string(t));
-          }
-          item += delta;
-        }
-        if (item >= h.alphabet_size) {
-          return Corrupt("item id " + std::to_string(item) +
-                         " out of range in txn " + std::to_string(t));
-        }
-        decoded_items_.push_back(static_cast<ItemId>(item));
-        max_item = std::max(max_item, item);
-        any_item = true;
-      }
-    }
-    if (!cursor.Exhausted()) {
-      return Corrupt("txn_items section has trailing bytes");
-    }
-    const uint64_t actual_alphabet = any_item ? max_item + 1 : 0;
-    if (actual_alphabet != h.alphabet_size) {
-      return Corrupt("alphabet_size mismatch: header records " +
-                     std::to_string(h.alphabet_size) + ", data has " +
-                     std::to_string(actual_alphabet));
-    }
-  }
-  (void)validate;  // the v2 decode is always fully checked
-  return Status::OK();
+  return out;
 }
 
-Status StoreReader::DecodeCatalogV2(const std::byte* base,
-                                    const SectionEntry& entry,
-                                    bool validate) {
-  const FileHeader& h = header_;
+/// Parses the v2 segment catalog section with the structural checks
+/// (layout, id ranges, supports within segment sizes); whether it
+/// agrees with the items is CheckCatalog's job.
+Result<SegmentCatalog> ParseCatalogV2(const FileHeader& h,
+                                      std::span<const uint64_t> segments,
+                                      const std::byte* base,
+                                      const SectionEntry& entry) {
   if (entry.size < sizeof(SegCatalogHeader)) {
     return Corrupt("seg_catalog section is too small for its header");
   }
@@ -291,7 +497,7 @@ Status StoreReader::DecodeCatalogV2(const std::byte* base,
     for (uint32_t w = 0; w < ch.bitset_words; ++w) {
       bits.push_back(read_u64());
     }
-    const uint64_t seg_txns = segments_[seg + 1] - segments_[seg];
+    const uint64_t seg_txns = segments[seg + 1] - segments[seg];
     for (uint32_t i = 0; i < ch.tracked_count; ++i) {
       const uint32_t support = read_u32();
       if (support > seg_txns) {
@@ -302,50 +508,203 @@ Status StoreReader::DecodeCatalogV2(const std::byte* base,
     }
   }
 
-  auto catalog = std::make_shared<SegmentCatalog>(SegmentCatalog::FromParts(
-      std::vector<uint64_t>(segments_.begin(), segments_.end()),
+  return SegmentCatalog::FromParts(
+      std::vector<uint64_t>(segments.begin(), segments.end()),
       ch.bitset_words, std::move(tracked_ids), std::move(min_item),
-      std::move(max_item), std::move(bits),
-      std::move(tracked_supports)));
+      std::move(max_item), std::move(bits), std::move(tracked_supports));
+}
 
-  if (validate) {
-    // Rebuild the catalog from the decoded transactions; any
-    // disagreement means the section could mislead scan skipping into
-    // wrong supports, so it is rejected outright. (Bitwise equality
-    // holds because writer and rebuild share the top-K selection and
-    // the bit hash.)
-    const SegmentCatalog reference = SegmentCatalog::Build(
-        db_, std::vector<uint64_t>(segments_.begin(), segments_.end()),
-        ch.tracked_count, ch.bitset_words);
-    const auto mismatch = [&](const std::string& what) {
-      return Corrupt("seg_catalog disagrees with the items column (" +
-                     what + ")");
-    };
-    if (!std::equal(reference.tracked_ids().begin(),
-                    reference.tracked_ids().end(),
-                    catalog->tracked_ids().begin(),
-                    catalog->tracked_ids().end())) {
-      return mismatch("tracked items");
+/// Rejects a stored catalog that disagrees with the figures the check
+/// pass counted from the items: it could mislead scan skipping into
+/// wrong supports. (Equality holds for an honest section because the
+/// writer and the count share the top-K selection and the bit hash.)
+Status CheckCatalog(const SegmentCatalog& stored,
+                    const SegmentCatalog& counted,
+                    std::span<const uint32_t> item_freq) {
+  const auto mismatch = [](const std::string& what) {
+    return Corrupt("seg_catalog disagrees with the items column (" + what +
+                   ")");
+  };
+  const auto same = [](auto a, auto b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  };
+  const std::vector<ItemId> tracked = SegmentCatalog::TopKByFrequency(
+      item_freq, static_cast<uint32_t>(stored.tracked_ids().size()));
+  if (!same(std::span<const ItemId>(tracked), stored.tracked_ids())) {
+    return mismatch("tracked items");
+  }
+  for (size_t seg = 0; seg < stored.num_segments(); ++seg) {
+    if (stored.min_item(seg) != counted.min_item(seg) ||
+        stored.max_item(seg) != counted.max_item(seg)) {
+      return mismatch("segment item bounds");
     }
-    for (size_t seg = 0; seg < catalog->num_segments(); ++seg) {
-      if (catalog->min_item(seg) != reference.min_item(seg) ||
-          catalog->max_item(seg) != reference.max_item(seg)) {
-        return mismatch("segment item bounds");
-      }
-      const auto a = catalog->segment_bits(seg);
-      const auto b = reference.segment_bits(seg);
-      if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) {
-        return mismatch("segment bitsets");
-      }
-      const auto sa = catalog->segment_tracked_supports(seg);
-      const auto sb = reference.segment_tracked_supports(seg);
-      if (!std::equal(sa.begin(), sa.end(), sb.begin(), sb.end())) {
-        return mismatch("tracked supports");
-      }
+    if (!same(stored.segment_bits(seg), counted.segment_bits(seg))) {
+      return mismatch("segment bitsets");
+    }
+    if (!same(stored.segment_tracked_supports(seg),
+              counted.segment_tracked_supports(seg))) {
+      return mismatch("tracked supports");
     }
   }
+  return Status::OK();
+}
 
-  catalog_ = std::move(catalog);
+}  // namespace
+
+Status StoreReader::DecodeColumnsV2(
+    const std::byte* base,
+    std::span<const SectionEntry* const> offsets_blocks,
+    std::span<const SectionEntry* const> items_blocks, ThreadPool* pool,
+    const SegmentCatalog* stored, SegmentCatalog* counted,
+    std::vector<uint32_t>* item_freq) {
+  const FileHeader& h = header_;
+  const uint64_t num_txns = h.num_transactions;
+
+  // Every varint occupies at least one byte, so the header counts are
+  // bounded by the section sizes. Checking first keeps the buffer
+  // allocations below from ballooning on a corrupt header (allocation
+  // failure would escape as bad_alloc, not a Status).
+  const uint64_t offsets_bytes = ColumnBytes(offsets_blocks);
+  const uint64_t items_bytes = ColumnBytes(items_blocks);
+  if (num_txns > offsets_bytes) {
+    return Corrupt("txn_offsets section is too small for " +
+                   std::to_string(num_txns) + " transactions");
+  }
+  if (h.num_items > items_bytes) {
+    return Corrupt("txn_items section is too small for " +
+                   std::to_string(h.num_items) + " items");
+  }
+
+  // --- Phases 1-2: count each chunk's varints, then decode them in
+  // place — widths into decoded_offsets_[1..], item gaps into
+  // decoded_items_. Values at or above a column's bound (a width past
+  // 32 bits, a gap or id outside the alphabet) stop the decode. ---
+  ColumnVerdict items_verdict;
+  {
+    FLIPPER_TRACE_SPAN("store_decode", "detail");
+    const int threads = pool != nullptr ? pool->num_threads() : 1;
+    std::vector<ColumnChunk> width_chunks = SplitColumn(
+        base, offsets_blocks, ChunkBytes(offsets_bytes, threads));
+    std::vector<ColumnChunk> item_chunks =
+        SplitColumn(base, items_blocks, ChunkBytes(items_bytes, threads));
+    const size_t num_width_chunks = width_chunks.size();
+    const size_t num_chunks = num_width_chunks + item_chunks.size();
+    const auto chunk = [&](size_t i) -> ColumnChunk& {
+      return i < num_width_chunks ? width_chunks[i]
+                                  : item_chunks[i - num_width_chunks];
+    };
+    decoded_offsets_.resize(num_txns + 1);
+    decoded_items_.resize(h.num_items);
+
+    const auto for_each_chunk = [&](const auto& fn) {
+      ParallelFor(pool, 0, num_chunks, static_cast<int>(num_chunks),
+                  [&](int, size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i) fn(i, &chunk(i));
+                  });
+    };
+    for_each_chunk([](size_t, ColumnChunk* c) {
+      c->count = CountTerminators(c->begin, c->end);
+    });
+    for (std::vector<ColumnChunk>* column : {&width_chunks, &item_chunks}) {
+      uint64_t first = 0;
+      for (ColumnChunk& c : *column) {
+        c.first = first;
+        first += c.count;
+      }
+    }
+    for_each_chunk([&](size_t i, ColumnChunk* c) {
+      if (i < num_width_chunks) {
+        DecodeChunk(num_txns, uint64_t{1} << 32, decoded_offsets_.data() + 1,
+                    c);
+      } else {
+        DecodeChunk(h.num_items, h.alphabet_size, decoded_items_.data(), c);
+      }
+    });
+
+    const ColumnVerdict widths = Verdict(width_chunks, num_txns);
+    if (widths.stop < num_txns) {
+      return widths.oversize
+                 ? WidthOverflow(widths.stop)
+                 : Corrupt("truncated varint in txn_offsets at txn " +
+                           std::to_string(widths.stop));
+    }
+    if (widths.trailing) {
+      return Corrupt("txn_offsets section has trailing bytes");
+    }
+    uint64_t* offsets = decoded_offsets_.data();
+    uint64_t max_width = 0;
+    for (uint64_t t = 1; t <= num_txns; ++t) {
+      max_width = std::max(max_width, offsets[t]);
+      offsets[t] += offsets[t - 1];
+    }
+    if (offsets[num_txns] != h.num_items) {
+      return Corrupt("transaction offsets do not span the items");
+    }
+    if (max_width != h.max_width) {
+      return MismatchWithHeader("max_width", h.max_width, max_width);
+    }
+    items_verdict = Verdict(item_chunks, h.num_items);
+  }
+
+  // --- Phase 3: resolve gaps into ids over balanced transaction
+  // ranges, checking every value before the items column's stop. ---
+  FLIPPER_TRACE_SPAN("store_check", "detail");
+  const std::span<const uint64_t> offsets = decoded_offsets_;
+  const uint64_t stop = items_verdict.stop;
+  // The transaction holding value `stop` is the last one checked.
+  const size_t check_txns =
+      stop < h.num_items
+          ? static_cast<size_t>(std::upper_bound(offsets.begin(),
+                                                 offsets.end(), stop) -
+                                offsets.begin())
+          : num_txns;
+  ItemId* items = decoded_items_.data();
+  const uint32_t alphabet = h.alphabet_size;
+  const auto resolve = [&](size_t t, std::span<const ItemId>* txn)
+      -> std::optional<Status> {
+    const uint64_t lo = offsets[t];
+    const uint64_t hi = std::min(offsets[t + 1], stop);
+    // The decode bounded every value below the alphabet, so the first
+    // one is an in-range id and only a zero gap or the running id can
+    // fail here.
+    if (lo < hi) {
+      uint64_t item = items[lo];
+      for (uint64_t v = lo + 1; v < hi; ++v) {
+        if (items[v] == 0) return ItemsNotSorted(t);
+        item += items[v];
+        if (item >= alphabet) return ItemOutOfRange(item, t);
+        items[v] = static_cast<ItemId>(item);
+      }
+    }
+    *txn = {items + lo, static_cast<size_t>(hi - lo)};
+    return std::nullopt;
+  };
+  std::optional<CatalogCounter> counter;
+  if (stored != nullptr) counter.emplace(*stored, alphabet);
+  TxnCheck check = CheckTransactions(pool, check_txns, resolve,
+                                     counter ? &*counter : nullptr);
+  if (check.error) return *std::move(check.error);
+  if (stop < h.num_items) {
+    const size_t t = check_txns - 1;
+    if (!items_verdict.oversize) {
+      return Corrupt("truncated varint in txn_items at txn " +
+                     std::to_string(t));
+    }
+    // The value the decode refused fails as a serial read would see it:
+    // an id when it opens its transaction, a gap otherwise.
+    const uint64_t value = items_verdict.value;
+    if (stop == offsets[t]) return ItemOutOfRange(value, t);
+    if (value == 0) return ItemsNotSorted(t);
+    return Corrupt("item gap " + std::to_string(value) +
+                   " out of range in txn " + std::to_string(t));
+  }
+  if (items_verdict.trailing) {
+    return Corrupt("txn_items section has trailing bytes");
+  }
+  if (check.alphabet != alphabet) {
+    return MismatchWithHeader("alphabet_size", alphabet, check.alphabet);
+  }
+  if (counter) *counted = counter->TakeCounted(item_freq);
   return Status::OK();
 }
 
@@ -647,65 +1006,79 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   reader.segments_ = segments;
 
   // --- The transaction columns. ---
+  // The payload passes run sharded: on the caller's pool, on a
+  // transient one when a column is larger than one decode chunk, and
+  // inline otherwise.
+  const uint64_t column_bytes =
+      v2 ? std::max(ColumnBytes(offsets_blocks), ColumnBytes(items_blocks))
+         : std::max(section(SectionId::kTxnOffsets).size,
+                    section(SectionId::kTxnItems).size);
+  std::optional<ThreadPool> transient_pool;
+  ThreadPool* pool = options.pool;
+  if (pool == nullptr && (v2 || options.validate) &&
+      column_bytes > kMinChunkBytes) {
+    pool = &transient_pool.emplace(0);
+  }
   std::span<const uint64_t> offsets;
   std::span<const ItemId> items;
+  // v2: the catalog section is parsed up front so the check pass can
+  // count what it must match; its verdict is reported in file order,
+  // after the columns and the taxonomy.
+  Result<SegmentCatalog> catalog = SegmentCatalog();
+  SegmentCatalog counted;
+  std::vector<uint32_t> item_freq;
   if (!v2) {
     offsets = U64Span(base, section(SectionId::kTxnOffsets));
     const std::span<const uint32_t> raw_items =
         U32Span(base, section(SectionId::kTxnItems));
     items = std::span<const ItemId>(raw_items.data(), raw_items.size());
 
-    // Payload validation (the O(num_items) scan, v1 only — the v2
-    // decode below subsumes it).
+    // Payload validation (the O(num_items) pass; v2 always runs its
+    // own in the decode).
     if (options.validate) {
       if (offsets.front() != 0 || offsets.back() != h.num_items) {
         return Corrupt("transaction offsets do not span the items");
       }
-      uint32_t max_width = 0;
-      ItemId max_item = 0;
-      bool any_item = false;
-      for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+      FLIPPER_TRACE_SPAN("store_check", "detail");
+      const auto check = [&](size_t t, std::span<const ItemId>* txn)
+          -> std::optional<Status> {
         const uint64_t lo = offsets[t];
         const uint64_t hi = offsets[t + 1];
         if (lo > hi || hi > h.num_items) {
           return Corrupt("transaction offsets are not monotone at txn " +
                          std::to_string(t));
         }
-        const uint64_t width = hi - lo;
-        if (width > std::numeric_limits<uint32_t>::max()) {
-          return Corrupt("transaction width overflows at txn " +
-                         std::to_string(t));
+        if (hi - lo > std::numeric_limits<uint32_t>::max()) {
+          return WidthOverflow(t);
         }
-        max_width = std::max(max_width, static_cast<uint32_t>(width));
         for (uint64_t i = lo; i < hi; ++i) {
-          const ItemId item = items[i];
-          if (item >= h.alphabet_size) {
-            return Corrupt("item id " + std::to_string(item) +
-                           " out of range in txn " + std::to_string(t));
+          if (items[i] >= h.alphabet_size) {
+            return ItemOutOfRange(items[i], t);
           }
-          if (i > lo && items[i - 1] >= item) {
-            return Corrupt("items of txn " + std::to_string(t) +
-                           " are not sorted and duplicate-free");
-          }
-          max_item = std::max(max_item, item);
-          any_item = true;
+          if (i > lo && items[i - 1] >= items[i]) return ItemsNotSorted(t);
         }
+        *txn = items.subspan(lo, hi - lo);
+        return std::nullopt;
+      };
+      TxnCheck checked =
+          CheckTransactions(pool, h.num_transactions, check, nullptr);
+      if (checked.error) return *std::move(checked.error);
+      if (checked.max_width != h.max_width) {
+        return MismatchWithHeader("max_width", h.max_width,
+                                  checked.max_width);
       }
-      if (max_width != h.max_width) {
-        return Corrupt("max_width mismatch: header records " +
-                       std::to_string(h.max_width) + ", data has " +
-                       std::to_string(max_width));
-      }
-      const ItemId actual_alphabet = any_item ? max_item + 1 : 0;
-      if (actual_alphabet != h.alphabet_size) {
-        return Corrupt("alphabet_size mismatch: header records " +
-                       std::to_string(h.alphabet_size) + ", data has " +
-                       std::to_string(actual_alphabet));
+      if (checked.alphabet != h.alphabet_size) {
+        return MismatchWithHeader("alphabet_size", h.alphabet_size,
+                                  checked.alphabet);
       }
     }
   } else {
+    catalog = ParseCatalogV2(h, segments, base,
+                             section(SectionId::kSegCatalog));
+    const bool count_catalog = options.validate && catalog.ok();
     FLIPPER_RETURN_IF_ERROR(reader.DecodeColumnsV2(
-        base, offsets_blocks, items_blocks, options.validate));
+        base, offsets_blocks, items_blocks, pool,
+        count_catalog ? &*catalog : nullptr, &counted, &item_freq));
     offsets = reader.decoded_offsets_;
     items = reader.decoded_items_;
   }
@@ -738,11 +1111,15 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   reader.db_ = TransactionDb::FromBorrowed(
       offsets, items, h.alphabet_size, h.max_width);
 
-  // --- The v2 segment catalog (validated against the decoded items,
-  // then attached to the database for scan skipping). ---
+  // --- The v2 segment catalog (checked against the figures the
+  // decode counted, then attached to the database for scan skipping).
   if (v2) {
-    FLIPPER_RETURN_IF_ERROR(reader.DecodeCatalogV2(
-        base, section(SectionId::kSegCatalog), options.validate));
+    if (!catalog.ok()) return catalog.status();
+    if (options.validate) {
+      FLIPPER_RETURN_IF_ERROR(CheckCatalog(*catalog, counted, item_freq));
+    }
+    reader.catalog_ =
+        std::make_shared<const SegmentCatalog>(std::move(catalog).value());
     reader.db_.AttachSegmentCatalog(reader.catalog_);
   }
   return reader;

@@ -6,9 +6,12 @@
 // mode of TransactionDb / ItemDictionary); only the taxonomy — a few
 // KB of tree structure — is reconstructed in memory.
 //
-// v2 files carry delta+varint columns, so Open() runs one
-// bounds-checked decode pass into reader-owned buffers (the spans the
-// TransactionDb borrows then point at those buffers) and additionally
+// v2 files carry delta+varint columns, which Open() decodes into
+// reader-owned buffers (the spans the TransactionDb borrows then point
+// at those buffers) in three sharded phases: count the varint
+// terminator bytes of every column chunk, decode each chunk's varints
+// straight into the final buffers, then resolve gaps into item ids
+// and check them over balanced transaction ranges. Open() also
 // decodes the segment catalog, which it attaches to the database for
 // scan skipping and exposes through catalog().
 //
@@ -28,10 +31,11 @@
 // payloads so that every CSR offset is monotone, every item id is
 // in-range and sorted within its transaction, the header's derived
 // metadata matches the data, and (v2) the catalog agrees with the
-// items it summarizes. The v2 column decode is always fully
-// bounds-checked — a truncated varint is a Status error even in
-// trusted mode. A corrupt or truncated file yields a Status error,
-// never UB.
+// figures the check pass counts from the items. The v2 column decode
+// is always fully checked — a truncated varint or an out-of-range id
+// is a Status error even in trusted mode. A corrupt or truncated file
+// yields a Status error, never UB, and the error is the same at every
+// thread count: it names the lowest failing transaction.
 
 #ifndef FLIPPER_STORAGE_STORE_READER_H_
 #define FLIPPER_STORAGE_STORE_READER_H_
@@ -43,6 +47,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "data/item_dictionary.h"
 #include "data/segment_catalog.h"
 #include "data/transaction_db.h"
@@ -74,15 +79,23 @@ struct PrefixInfo {
 
 struct OpenOptions {
   /// Scan section payloads (O(num_items)) so that every offset and
-  /// item id is proven in-bounds before use. Disable only for trusted
-  /// files (e.g. open-latency benchmarks); structural checks — header
-  /// checksum, section table, section bounds, dictionary offsets,
-  /// segment boundaries, taxonomy reconstruction, and the v2 varint
-  /// decode itself — always run.
+  /// item id is proven in-bounds before use: the v1 columns, and the
+  /// v2 catalog against the figures the decode's check pass counts.
+  /// Disable only for trusted files (e.g. open-latency benchmarks);
+  /// structural checks — header checksum, section table, section
+  /// bounds, dictionary offsets, segment boundaries, taxonomy
+  /// reconstruction, and the fully checked v2 varint decode itself —
+  /// always run.
   bool validate = true;
   /// Skip mmap and read the file into memory (the portable fallback;
   /// also exercised by tests).
   bool force_heap = false;
+  /// Borrowed pool for the sharded decode and check passes; results
+  /// and errors are the same at every thread count. When null, Open
+  /// runs them on a transient hardware-thread pool if a column is
+  /// larger than one decode chunk (64 KiB), and inline otherwise, so
+  /// small stores never spawn threads.
+  ThreadPool* pool = nullptr;
 };
 
 class StoreReader {
@@ -146,16 +159,22 @@ class StoreReader {
                                         const std::string& path);
 
   /// Decodes the v2 varint columns into decoded_offsets_ /
-  /// decoded_items_ (always bounds-checked; `validate` adds the
-  /// header-consistency cross-checks). Appended stores carry one block
-  /// pair per session; blocks are concatenated in table order.
+  /// decoded_items_ with every check the format allows — truncated or
+  /// over-long varints, trailing bytes, width overflow, zero and
+  /// out-of-range gaps, out-of-range ids, the header's max_width and
+  /// alphabet_size — whether or not the open validates. Appended
+  /// stores carry one block pair per session; blocks are concatenated
+  /// in table order. Runs sharded on `pool` (may be null). When
+  /// `stored` is non-null, the check pass also counts what that
+  /// catalog section must match: `counted` gets its per-segment
+  /// figures (with the stored tracked ids), `item_freq` the item
+  /// supports.
   Status DecodeColumnsV2(const std::byte* base,
                          std::span<const SectionEntry* const> offsets_blocks,
                          std::span<const SectionEntry* const> items_blocks,
-                         bool validate);
-  /// Decodes and validates the v2 segment catalog section.
-  Status DecodeCatalogV2(const std::byte* base, const SectionEntry& entry,
-                         bool validate);
+                         ThreadPool* pool, const SegmentCatalog* stored,
+                         SegmentCatalog* counted,
+                         std::vector<uint32_t>* item_freq);
 
   MmapFile file_;
   FileHeader header_;

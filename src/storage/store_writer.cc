@@ -566,8 +566,8 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
       &written));
 
   if (options_.version == kFormatVersionV2) {
-    // Tracked set: the same selection the reader's validation rebuild
-    // runs (SegmentCatalog::Build), so the two can never disagree.
+    // Tracked set: the same selection the reader's catalog check runs
+    // (SegmentCatalog::TopKByFrequency), so the two can never disagree.
     const std::vector<ItemId> tracked_vec =
         SegmentCatalog::TopKByFrequency(item_freq_,
                                         options_.catalog_tracked_items);

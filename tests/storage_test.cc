@@ -13,6 +13,8 @@
 #include <string>
 
 #include "core/flipper_miner.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/pattern_io.h"
 #include "data/db_io.h"
 #include "storage/format.h"
@@ -49,10 +51,16 @@ storage::FileHeader* HeaderOf(std::string* bytes) {
   return reinterpret_cast<storage::FileHeader*>(bytes->data());
 }
 
+/// The section table (appended stores move it past the header).
+storage::SectionEntry* TableOf(std::string* bytes) {
+  const uint64_t offset = HeaderOf(bytes)->table_offset;
+  return reinterpret_cast<storage::SectionEntry*>(
+      bytes->data() + (offset == 0 ? sizeof(storage::FileHeader) : offset));
+}
+
 storage::SectionEntry* SectionOf(std::string* bytes,
                                  storage::SectionId id) {
-  auto* table = reinterpret_cast<storage::SectionEntry*>(
-      bytes->data() + sizeof(storage::FileHeader));
+  storage::SectionEntry* table = TableOf(bytes);
   for (uint32_t i = 0; i < HeaderOf(bytes)->section_count; ++i) {
     if (table[i].id == static_cast<uint32_t>(id)) return &table[i];
   }
@@ -64,8 +72,7 @@ storage::SectionEntry* SectionOf(std::string* bytes,
 /// checksum gates.
 void FixChecksums(std::string* bytes) {
   auto* header = HeaderOf(bytes);
-  auto* table = reinterpret_cast<storage::SectionEntry*>(
-      bytes->data() + sizeof(storage::FileHeader));
+  storage::SectionEntry* table = TableOf(bytes);
   for (uint32_t i = 0; i < header->section_count; ++i) {
     // A section the test pointed outside the file cannot be hashed;
     // the reader rejects it on bounds before any checksum check.
@@ -920,6 +927,235 @@ TEST(StorageAppend, TornStoreRefusesAppendUntilRepaired) {
   ASSERT_FALSE(writer.ok());
   EXPECT_NE(writer.status().message().find("repair"), std::string::npos)
       << writer.status();
+}
+
+// --- Sharded open: parity with the serial reference decode -----------
+
+/// The pools the parity tests open on: none (inline, or a transient
+/// pool for a large store), then 1, 2, 4 and all hardware threads.
+std::vector<ThreadPool*> ParityPools() {
+  static ThreadPool one(1);
+  static ThreadPool two(2);
+  static ThreadPool four(4);
+  static ThreadPool hardware(0);
+  return {nullptr, &one, &two, &four, &hardware};
+}
+
+/// Opens the store at `path` on every parity pool, validating and (with
+/// no pool and at 4 threads) trusted. Each open must return exactly the
+/// serial reference's status; a clean one also its columns and catalog.
+/// Returns the validating reference status.
+Status ExpectOpenMatchesReference(const std::string& path,
+                                  const std::string& label) {
+  const std::string bytes = ReadFileBytes(path);
+  Status validated;
+  for (const bool validate : {true, false}) {
+    const testutil::ReferenceStore ref =
+        testutil::ReferenceDecodeV2(bytes, validate);
+    if (validate) validated = ref.status;
+    for (ThreadPool* pool : ParityPools()) {
+      const int threads = pool == nullptr ? 0 : pool->num_threads();
+      if (!validate && pool != nullptr && threads != 4) continue;
+      storage::OpenOptions options;
+      options.validate = validate;
+      options.pool = pool;
+      auto reader = storage::StoreReader::Open(path, options);
+      const std::string where = label + " (pool threads " +
+                                std::to_string(threads) + ", validate " +
+                                std::to_string(validate) + ")";
+      EXPECT_EQ(reader.ok() ? Status::OK() : reader.status(), ref.status)
+          << where;
+      if (!reader.ok() || !ref.status.ok()) continue;
+      const TransactionDb expected = TransactionDb::FromBorrowed(
+          ref.offsets, ref.items, reader->header().alphabet_size,
+          reader->header().max_width);
+      EXPECT_EQ(testutil::DbDiff(reader->db(), expected), "") << where;
+      EXPECT_EQ(testutil::CatalogDiff(reader->catalog(), &*ref.catalog), "")
+          << where;
+    }
+  }
+  return validated;
+}
+
+/// Every section of `bytes` with `id`, in table order (an appended
+/// store's columns have one block per session).
+std::vector<storage::SectionEntry*> SectionsOf(std::string* bytes,
+                                               storage::SectionId id) {
+  storage::SectionEntry* table = TableOf(bytes);
+  std::vector<storage::SectionEntry*> out;
+  for (uint32_t i = 0; i < HeaderOf(bytes)->section_count; ++i) {
+    if (table[i].id == static_cast<uint32_t>(id)) out.push_back(&table[i]);
+  }
+  return out;
+}
+
+/// Seeded damage to the two columns and the catalog of the v2 store at
+/// `path`: single-byte flips, zeroed bytes (zero gaps, empty
+/// transactions), varint-shaped overwrites (a run of continuation
+/// bytes, which decodes as an oversized or over-long value), pairs of
+/// those, truncated blocks, a grown last block, and terminator toggles
+/// on both sides of the first 64 KiB chunk boundaries. Each damaged file must
+/// open exactly as the serial reference decodes it.
+void ExpectDamageMatchesReference(const std::string& path, uint64_t seed,
+                                  int per_kind) {
+  const std::string clean = ReadFileBytes(path);
+  Rng rng(seed);
+  int cases = 0;
+  int failed = 0;
+  const auto check = [&](std::string bytes, const std::string& label) {
+    FixChecksums(&bytes);
+    WriteFileBytes(path, bytes);
+    ++cases;
+    if (!ExpectOpenMatchesReference(path, label).ok()) ++failed;
+  };
+  for (const storage::SectionId id :
+       {storage::SectionId::kTxnOffsets, storage::SectionId::kTxnItems,
+        storage::SectionId::kSegCatalog}) {
+    const std::string name = storage::SectionIdName(id);
+    std::string probe = clean;
+    std::vector<std::pair<uint64_t, uint64_t>> blocks;  // offset, size
+    uint64_t total = 0;
+    for (const storage::SectionEntry* e : SectionsOf(&probe, id)) {
+      if (e->size == 0) continue;  // an empty append session's block
+      blocks.emplace_back(e->offset, e->size);
+      total += e->size;
+    }
+    ASSERT_GT(total, 0u) << name;
+    // File offset of the column's `at`-th byte, across blocks.
+    const auto locate = [&](uint64_t at) {
+      for (const auto& [offset, size] : blocks) {
+        if (at < size) return offset + at;
+        at -= size;
+      }
+      return uint64_t{0};
+    };
+    const bool column = id != storage::SectionId::kSegCatalog;
+    // Single-spot damage; each returns its label.
+    const auto flip = [&](std::string* bytes) {
+      const uint64_t at = locate(rng.Below(total));
+      (*bytes)[at] = static_cast<char>((*bytes)[at] ^ (1 + rng.Below(255)));
+      return " flip @" + std::to_string(at);
+    };
+    const auto zero = [&](std::string* bytes) {
+      const uint64_t at = locate(rng.Below(total));
+      (*bytes)[at] = '\0';
+      return " zero byte @" + std::to_string(at);
+    };
+    const auto run = [&](std::string* bytes) {
+      const auto [offset, size] = blocks[rng.Below(blocks.size())];
+      const uint64_t start = offset + rng.Below(size);
+      const uint64_t length = 1 + rng.Below(12);
+      for (uint64_t b = 0; b < length && start + b < offset + size; ++b) {
+        (*bytes)[start + b] = static_cast<char>(0x80 | rng.Below(128));
+      }
+      if (start + length < offset + size) {
+        (*bytes)[start + length] = static_cast<char>(rng.Below(128));
+      }
+      return " run of " + std::to_string(length) + " @" +
+             std::to_string(start);
+    };
+    for (int i = 0; i < per_kind; ++i) {
+      std::string bytes = clean;
+      const std::string label = name + flip(&bytes);
+      check(std::move(bytes), label);
+    }
+    for (int i = 0; column && i < per_kind; ++i) {
+      std::string bytes = clean;
+      const std::string label = name + zero(&bytes);
+      check(std::move(bytes), label);
+    }
+    for (int i = 0; column && i < per_kind; ++i) {
+      std::string bytes = clean;
+      const std::string label = name + run(&bytes);
+      check(std::move(bytes), label);
+    }
+    // Two faults in one column: the lower one must be reported, whatever
+    // chunk or shard finds which.
+    for (int i = 0; column && i < per_kind; ++i) {
+      std::string bytes = clean;
+      std::string label = name + (i % 2 == 0 ? zero(&bytes) : run(&bytes));
+      label += " and" + run(&bytes);
+      check(std::move(bytes), label);
+    }
+    for (int i = 0; i < 2; ++i) {
+      std::string bytes = clean;
+      std::vector<storage::SectionEntry*> entries = SectionsOf(&bytes, id);
+      std::erase_if(entries, [](const storage::SectionEntry* e) {
+        return e->size == 0;
+      });
+      storage::SectionEntry* e = entries[rng.Below(entries.size())];
+      const uint64_t cut = 1 + rng.Below(std::min<uint64_t>(e->size, 16));
+      e->size -= cut;
+      check(std::move(bytes), name + " truncated by " + std::to_string(cut));
+    }
+    {
+      // Grown over its padding (or the next section): extra bytes past
+      // the last value.
+      std::string bytes = clean;
+      storage::SectionEntry* e = SectionsOf(&bytes, id).back();
+      e->size = std::min<uint64_t>(e->size + 1 + rng.Below(7),
+                                   bytes.size() - e->offset);
+      check(std::move(bytes), name + " grown to " + std::to_string(e->size));
+    }
+    for (uint64_t boundary = 64 * 1024; column && boundary < total &&
+                                        boundary <= 2 * 64 * 1024;
+         boundary += 64 * 1024) {
+      for (const uint64_t at : {boundary - 1, boundary}) {
+        std::string bytes = clean;
+        bytes[locate(at)] ^= '\x80';
+        check(std::move(bytes), name + " terminator toggle @" +
+                                    std::to_string(at));
+      }
+    }
+  }
+  WriteFileBytes(path, clean);
+  // The damage lands: most of it is caught (a flip can still decode to
+  // another valid store, e.g. in a catalog bitset's unused bits).
+  EXPECT_GT(failed, cases / 2) << failed << " of " << cases;
+}
+
+TEST(StorageShardedOpen, MultiChunkStoreMatchesTheSerialDecode) {
+  // ~10K leaves with ids in the thousands: two-byte ids and gaps.
+  const testutil::Dataset data =
+      testutil::RandomDataset(2024, 40, 4, 5, 100000, 6);
+  const std::string path = TempPath("sharded_open.fdb");
+  storage::StoreWriter::Options options;
+  options.segment_txns = 8192;
+  ASSERT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
+                                      data.taxonomy, options)
+                  .ok());
+  std::string bytes = ReadFileBytes(path);
+  // Both columns span several 64 KiB decode chunks, the items column
+  // at least 8 at any thread count above one (a chunk is 64 KiB or a
+  // quarter of a thread's share, whichever is larger).
+  EXPECT_GT(SectionOf(&bytes, storage::SectionId::kTxnOffsets)->size,
+            64u * 1024);
+  EXPECT_GE(SectionOf(&bytes, storage::SectionId::kTxnItems)->size,
+            8u * 64 * 1024);
+
+  EXPECT_TRUE(ExpectOpenMatchesReference(path, "clean").ok());
+  auto reader = storage::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(testutil::DbDiff(reader->db(), data.db), "");
+  ExpectDamageMatchesReference(path, 99, 3);
+}
+
+TEST(StorageShardedOpen, AppendedStoreMatchesTheSerialDecode) {
+  const testutil::Dataset data =
+      testutil::RandomDataset(606, 20, 4, 4, 32000, 8);
+  const std::string path = TempPath("sharded_open_append.fdb");
+  WriteBaseStore(path, data, 8000, /*segment_txns=*/3000);
+  AppendSession(path, data, 8000, 16000);
+  AppendSession(path, data, 16000, 16000);  // an empty block pair
+  AppendSession(path, data, 16000, 32000);
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_EQ(SectionsOf(&bytes, storage::SectionId::kTxnItems).size(), 4u);
+
+  EXPECT_TRUE(ExpectOpenMatchesReference(path, "clean").ok());
+  auto reader = storage::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(testutil::DbDiff(reader->db(), data.db), "");
+  ExpectDamageMatchesReference(path, 7, 3);
 }
 
 }  // namespace

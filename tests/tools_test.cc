@@ -398,6 +398,38 @@ std::string SlurpFile(const std::string& path) {
   return oss.str();
 }
 
+/// One complete ("X") event of a Chrome trace.
+struct TraceEvent {
+  int tid = 0;
+  double ts_us = 0;
+  double dur_us = 0;
+};
+
+/// Every complete event named `name` in a trace written one event per
+/// line (trace::Session::ExportChromeJson's layout).
+std::vector<TraceEvent> EventsNamed(const std::string& trace,
+                                    const std::string& name) {
+  std::vector<TraceEvent> events;
+  std::istringstream lines(trace);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"ph\":\"X\"") == std::string::npos ||
+        line.find("\"name\":\"" + name + "\"") == std::string::npos) {
+      continue;
+    }
+    const auto number = [&line](const std::string& field) {
+      const size_t at = line.find("\"" + field + "\":");
+      EXPECT_NE(at, std::string::npos) << field << " in " << line;
+      return at == std::string::npos
+                 ? 0.0
+                 : std::stod(line.substr(at + field.size() + 3));
+    };
+    events.push_back({static_cast<int>(number("tid")), number("ts"),
+                      number("dur")});
+  }
+  return events;
+}
+
 void DumpFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -427,6 +459,28 @@ TEST_F(FlipperCliEndToEnd, MineReportsTheStoreOpenStage) {
             std::string::npos)
       << trace.substr(0, 400);
   EXPECT_NE(trace.find("\"name\":\"mine\""), std::string::npos);
+  // The open's two passes are detail spans nested in it, once each.
+  const std::vector<TraceEvent> open = EventsNamed(trace, "store_open");
+  ASSERT_EQ(open.size(), 1u);
+  for (const char* pass : {"store_decode", "store_check"}) {
+    const std::vector<TraceEvent> spans = EventsNamed(trace, pass);
+    ASSERT_EQ(spans.size(), 1u) << pass;
+    EXPECT_EQ(spans[0].tid, open[0].tid) << pass;
+    // Timestamps are printed to the nanosecond, in microseconds.
+    EXPECT_GE(spans[0].ts_us + 0.001, open[0].ts_us) << pass;
+    EXPECT_LE(spans[0].ts_us + spans[0].dur_us,
+              open[0].ts_us + open[0].dur_us + 0.002)
+        << pass;
+  }
+
+  // --threads 1 holds for the open too: no pool worker runs anything.
+  ASSERT_EQ(RunCli({"mine", "--input", store_, "--gamma=0.6",
+                    "--epsilon=0.35", "--minsup=0.1", "--threads=1",
+                    "--trace-out", trace_path},
+                   &out_, &err_),
+            0)
+      << err_;
+  EXPECT_EQ(SlurpFile(trace_path).find("pool-worker"), std::string::npos);
 
   // Text input opens no store, so it reports no store_open stage.
   ASSERT_EQ(RunCli({"mine", basket_, taxonomy_, "--gamma=0.6",
