@@ -39,9 +39,7 @@
 #include "data/tidset.h"
 #include "data/transaction_db.h"
 #include "data/vertical_index.h"
-#include "datagen/census_sim.h"
 #include "datagen/groceries_sim.h"
-#include "datagen/medline_sim.h"
 #include "datagen/quest_gen.h"
 #include "datagen/taxonomy_gen.h"
 #include "measures/measure.h"
@@ -109,8 +107,7 @@ CaseResult RunCase(const std::string& name, int threads,
   return out;
 }
 
-void EmitResults(const std::vector<CaseResult>& results,
-                 const std::string& extra_blocks) {
+void EmitResults(const std::vector<CaseResult>& results) {
   TablePrinter table({"case", "threads", "reps", "median_ms", "p95_ms",
                       "rows/s", "speedup", "peak_rss"});
   for (const CaseResult& r : results) {
@@ -144,9 +141,7 @@ void EmitResults(const std::vector<CaseResult>& results,
     if (!r.extra_json.empty()) json += ", " + r.extra_json;
     json += i + 1 < results.size() ? "},\n" : "}\n";
   }
-  json += "  ]";
-  if (!extra_blocks.empty()) json += ",\n" + extra_blocks;
-  json += "\n}\n";
+  json += "  ]\n}\n";
 
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);
@@ -763,10 +758,9 @@ void BenchMiner(std::vector<CaseResult>* results) {
 
 /// Dataset load paths on the groceries-sim dataset: basket-text
 /// parsing (the legacy ingestion, now block-buffered) vs FlipperStore
-/// open — v1 (zero-copy mmap) and v2 (varint decode + catalog), each
-/// with and without the payload validation scan. The fdb cases report
-/// their speedup over the parse baseline in the speedup column/JSON
-/// field.
+/// open (varint decode + catalog), with and without the catalog
+/// validation. The fdb cases report their speedup over the parse
+/// baseline in the speedup column/JSON field.
 /// Scratch dir unique to this process: ctest runs bench_smoke and
 /// bench_record_smoke concurrently, and a shared fixed path would let
 /// one process rewrite a store while the other mmaps it.
@@ -794,18 +788,10 @@ void BenchStorage(std::vector<CaseResult>* results) {
     return;
   }
   const std::string basket = (dir / "groceries.basket").string();
-  const std::string store_v1 = (dir / "groceries_v1.fdb").string();
-  const std::string store_v2 = (dir / "groceries_v2.fdb").string();
-  storage::StoreWriter::Options v1_options;
-  v1_options.version = storage::kFormatVersionV1;
-  storage::StoreWriter::Options v2_options;
-  v2_options.version = storage::kFormatVersionV2;
+  const std::string store = (dir / "groceries.fdb").string();
   if (!WriteBasketFile(dataset->db, dataset->dict, basket).ok() ||
-      !storage::WriteStoreFile(store_v1, dataset->db, dataset->dict,
-                               dataset->taxonomy, v1_options)
-           .ok() ||
-      !storage::WriteStoreFile(store_v2, dataset->db, dataset->dict,
-                               dataset->taxonomy, v2_options)
+      !storage::WriteStoreFile(store, dataset->db, dataset->dict,
+                               dataset->taxonomy)
            .ok()) {
     std::abort();
   }
@@ -819,8 +805,7 @@ void BenchStorage(std::vector<CaseResult>* results) {
       });
   results->push_back(parse);
 
-  const auto bench_open = [&](const std::string& name,
-                              const std::string& store, bool validate) {
+  const auto bench_open = [&](const std::string& name, bool validate) {
     storage::OpenOptions open_options;
     open_options.validate = validate;
     CaseResult r = RunCase(name, 1, rows, [&] {
@@ -835,119 +820,9 @@ void BenchStorage(std::vector<CaseResult>* results) {
     }
     results->push_back(r);
   };
-  bench_open("fdb_open_groceries", store_v1, true);
-  bench_open("fdb_open_trusted_groceries", store_v1, false);
-  bench_open("fdb_v2_open", store_v2, true);
-  bench_open("fdb_v2_open_trusted", store_v2, false);
+  bench_open("fdb_v2_open", true);
+  bench_open("fdb_v2_open_trusted", false);
   fs::remove_all(dir, ec);
-}
-
-/// v1 vs v2 file sizes across every datagen scenario (container-sized
-/// datasets). Returned as a "store_sizes" JSON block so cross-PR runs
-/// can track the compression ratio; the v2 file must come out smaller
-/// on each scenario.
-std::string BenchStoreSizes() {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  const fs::path dir = UniqueScratchDir("flipper_bench_sizes", ec);
-  fs::create_directories(dir, ec);
-  if (ec) {
-    std::cout << "[store_sizes] skipped: cannot create " << dir << "\n";
-    return "";
-  }
-
-  struct Scenario {
-    const char* name;
-    ItemDictionary dict;
-    Taxonomy taxonomy;
-    TransactionDb db;
-  };
-  std::vector<Scenario> scenarios;
-  // Floors keep every generator above its minimum size when
-  // FLIPPER_BENCH_SCALE is small (MedlineSim needs >= 1000 citations).
-  {
-    GroceriesParams params;
-    params.num_transactions = std::max<uint32_t>(
-        500, static_cast<uint32_t>(9'800 * BenchScale()));
-    auto generated = GenerateGroceries(params);
-    if (!generated.ok()) std::abort();
-    scenarios.push_back({"groceries", std::move(generated->dict),
-                         std::move(generated->taxonomy),
-                         std::move(generated->db)});
-  }
-  {
-    CensusParams params;
-    params.num_records = std::max<uint32_t>(
-        500, static_cast<uint32_t>(10'000 * BenchScale()));
-    auto generated = GenerateCensus(params);
-    if (!generated.ok()) std::abort();
-    scenarios.push_back({"census", std::move(generated->dict),
-                         std::move(generated->taxonomy),
-                         std::move(generated->db)});
-  }
-  {
-    MedlineParams params;
-    params.num_citations = std::max<uint32_t>(
-        2'000, static_cast<uint32_t>(10'000 * BenchScale()));
-    auto generated = GenerateMedline(params);
-    if (!generated.ok()) std::abort();
-    scenarios.push_back({"medline", std::move(generated->dict),
-                         std::move(generated->taxonomy),
-                         std::move(generated->db)});
-  }
-  {
-    ItemDictionary dict;
-    auto taxonomy = GenerateBalancedTaxonomy(TaxonomyGenParams(), &dict);
-    if (!taxonomy.ok()) std::abort();
-    QuestParams params;
-    params.num_transactions = std::max<uint32_t>(
-        500, static_cast<uint32_t>(10'000 * BenchScale()));
-    auto db = GenerateQuest(params, *taxonomy);
-    if (!db.ok()) std::abort();
-    scenarios.push_back({"quest", std::move(dict),
-                         std::move(*taxonomy), std::move(*db)});
-  }
-
-  std::string json = "  \"store_sizes\": [\n";
-  std::cout << "\nstore sizes (v1 vs v2):\n";
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    Scenario& s = scenarios[i];
-    const std::string v1_path =
-        (dir / (std::string(s.name) + "_v1.fdb")).string();
-    const std::string v2_path =
-        (dir / (std::string(s.name) + "_v2.fdb")).string();
-    storage::StoreWriter::Options options;
-    options.version = storage::kFormatVersionV1;
-    if (!storage::WriteStoreFile(v1_path, s.db, s.dict, s.taxonomy,
-                                 options)
-             .ok()) {
-      std::abort();
-    }
-    options.version = storage::kFormatVersionV2;
-    if (!storage::WriteStoreFile(v2_path, s.db, s.dict, s.taxonomy,
-                                 options)
-             .ok()) {
-      std::abort();
-    }
-    const auto v1_bytes =
-        static_cast<int64_t>(fs::file_size(v1_path, ec));
-    const auto v2_bytes =
-        static_cast<int64_t>(fs::file_size(v2_path, ec));
-    const double ratio =
-        v1_bytes > 0 ? static_cast<double>(v2_bytes) / v1_bytes : 0.0;
-    std::cout << "  " << s.name << ": v1 " << FormatBytes(v1_bytes)
-              << ", v2 " << FormatBytes(v2_bytes) << " ("
-              << FormatDouble(ratio * 100.0, 1) << "% of v1"
-              << (v2_bytes < v1_bytes ? "" : " — NOT smaller!") << ")\n";
-    json += "    {\"scenario\": \"" + std::string(s.name) +
-            "\", \"v1_bytes\": " + std::to_string(v1_bytes) +
-            ", \"v2_bytes\": " + std::to_string(v2_bytes) +
-            ", \"v2_over_v1\": " + FormatDouble(ratio, 4) + "}";
-    json += i + 1 < scenarios.size() ? ",\n" : "\n";
-  }
-  json += "  ]";
-  fs::remove_all(dir, ec);
-  return json;
 }
 
 /// Scan skipping on the skewed quest scenario (phased pattern pool:
@@ -978,7 +853,6 @@ void BenchScanSkip(std::vector<CaseResult>* results) {
 
   const std::string store = (dir / "skew.fdb").string();
   storage::StoreWriter::Options write_options;
-  write_options.version = storage::kFormatVersionV2;
   write_options.segment_txns = 512;
   if (!storage::WriteStoreFile(store, *db, dict, *taxonomy,
                                write_options)
@@ -1049,7 +923,6 @@ int main() {
   BenchMiner(&results);
   BenchStorage(&results);
   BenchScanSkip(&results);
-  const std::string store_sizes = BenchStoreSizes();
-  EmitResults(results, store_sizes);
+  EmitResults(results);
   return 0;
 }

@@ -68,7 +68,7 @@ Result<service::MineOutcome> RunBaselineMine(
   return outcome;
 }
 
-/// Writer options from --segment-txns and --store-version.
+/// Writer options from --segment-txns.
 Result<storage::StoreWriter::Options> ParseWriterOptions(
     const ArgParser& args) {
   storage::StoreWriter::Options options;
@@ -82,25 +82,12 @@ Result<storage::StoreWriter::Options> ParseWriterOptions(
         "--segment-txns must be a positive 32-bit count");
   }
   options.segment_txns = static_cast<uint32_t>(segment_txns);
-  FLIPPER_ASSIGN_OR_RETURN(
-      int64_t version,
-      args.GetInt("store-version",
-                  static_cast<int64_t>(storage::kFormatVersionLatest)));
-  if (version != storage::kFormatVersionV1 &&
-      version != storage::kFormatVersionV2) {
-    return Status::InvalidArgument("--store-version must be 1 or 2");
-  }
-  options.version = static_cast<uint32_t>(version);
   return options;
 }
 
 void AddWriterFlags(ArgParser* args) {
   args->AddFlag("segment-txns",
                 "transactions per shard segment (default 65536)", "N");
-  args->AddFlag("store-version",
-                "on-disk format: 1 (raw columns, zero-copy mmap) or 2 "
-                "(delta+varint columns + segment catalog; default)",
-                "N");
 }
 
 // --- mine -------------------------------------------------------------
@@ -320,59 +307,28 @@ int MineCommand(const std::vector<const char*>& argv, std::ostream& out,
 
 // --- convert ----------------------------------------------------------
 
-/// Re-encodes `reader`'s dataset (or fast-copies it when the target
-/// version matches and no re-segmentation was requested) into
-/// `output`. `same_file` says input and output are one file on disk
+/// Re-encodes `reader`'s dataset into `output` through the durable
+/// writer, which also drops the dead bytes of superseded append
+/// sessions. `same_file` says input and output are one file on disk
 /// (any spelling, symlink or hardlink): writing would truncate the
-/// store under the reader's live mapping, so it degrades the fast
-/// path to validate-only and refuses the re-encode outright.
+/// store under the reader's live mapping, so it is refused.
 int ConvertFromStore(const storage::StoreReader& reader,
                      const std::string& input, const std::string& output,
                      const storage::StoreWriter::Options& options,
-                     bool resegment, bool same_file, std::ostream& out,
-                     std::ostream& err) {
-  const uint32_t detected = reader.version();
-  // Open() validates structure and semantics, but only the checksum
-  // sweep compares bytes nothing else interprets (e.g. dictionary name
-  // text) against what was written — run it on every path so bitrot is
-  // never laundered into a "fresh" output file.
-  Status checksums = reader.VerifyChecksums();
-  if (!checksums.ok()) {
-    err << "error: " << checksums << "\n";
-    return 1;
-  }
-  if (detected == options.version && !resegment) {
-    // Same version in and out: the input has already passed Open()'s
-    // validation, so a byte copy is both faster and safer than a
-    // decode/re-encode round trip.
-    if (!same_file) {
-      std::ifstream in_file(input, std::ios::binary);
-      std::ofstream out_file(output,
-                             std::ios::binary | std::ios::trunc);
-      if (!in_file || !(out_file << in_file.rdbuf())) {
-        err << "error: cannot copy " << input << " to " << output
-            << "\n";
-        return 1;
-      }
-    }
-    if (same_file) {
-      out << "validated " << input << " in place (already v" << detected
-          << ", "
-          << FormatBytes(static_cast<int64_t>(reader.file_size()))
-          << "; nothing written)\n";
-    } else {
-      out << "wrote " << output << ": validated copy of " << input
-          << " (already v" << detected << ", "
-          << FormatBytes(static_cast<int64_t>(reader.file_size()))
-          << ")\n";
-    }
-    return 0;
-  }
-
+                     bool same_file, std::ostream& out, std::ostream& err) {
   if (same_file) {
     err << "error: cannot re-encode " << input
         << " onto itself; write to a different path\n";
     return 2;
+  }
+  // Open() validates structure and semantics, but only the checksum
+  // sweep compares bytes nothing else interprets (e.g. dictionary name
+  // text) against what was written, so bitrot is never laundered into
+  // a freshly checksummed output file.
+  Status checksums = reader.VerifyChecksums();
+  if (!checksums.ok()) {
+    err << "error: " << checksums << "\n";
+    return 1;
   }
   Status written = storage::WriteStoreFile(
       output, reader.db(), reader.dict(), reader.taxonomy(), options);
@@ -386,8 +342,7 @@ int ConvertFromStore(const storage::StoreReader& reader,
         << "\n";
     return 1;
   }
-  out << "wrote " << output << ": v" << detected << " -> v"
-      << options.version << ", "
+  out << "wrote " << output << ": re-encoded "
       << FormatCount(static_cast<int64_t>(reader.db().size()))
       << " transactions, "
       << FormatBytes(static_cast<int64_t>(reader.file_size())) << " -> "
@@ -410,8 +365,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
   ArgParser args("flipper_cli convert",
                  "Convert basket + taxonomy text files into a binary "
                  "FlipperStore (.fdb), or re-encode an existing store "
-                 "between format versions via --from-fdb (e.g. a v2 -> "
-                 "v1 downgrade for older readers).");
+                 "via --from-fdb (compacting appended stores and "
+                 "optionally re-cutting their segments).");
   if (!from_store) {
     args.AddPositional("basket",
                        "transactions, one per line (item names)");
@@ -421,8 +376,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
   args.AddPositional("output", "the .fdb file to write");
   args.AddFlag("from-fdb",
                "re-encode this .fdb store instead of parsing text "
-               "(same-version conversions become a validated copy "
-               "unless --segment-txns requests a re-shard)",
+               "(keeping its segment size unless --segment-txns is "
+               "given)",
                "PATH");
   AddWriterFlags(&args);
 
@@ -450,10 +405,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
       err << "error: " << reader.status() << "\n";
       return 1;
     }
-    // An explicit --segment-txns means "re-cut the shards", which
-    // rules out the same-version byte-copy fast path; without one,
-    // carry the input's shard granularity over instead of re-cutting
-    // at the default size.
+    // Without an explicit --segment-txns, carry the input's shard
+    // granularity over instead of re-cutting at the default size.
     const bool resegment = !args.GetString("segment-txns", "").empty();
     if (!resegment && reader->segments().size() > 1) {
       const uint64_t first_segment =
@@ -470,8 +423,8 @@ int ConvertCommand(const std::vector<const char*>& argv,
     std::error_code eq_ec;
     bool same_file = std::filesystem::equivalent(input, output, eq_ec);
     if (eq_ec) same_file = input == output;
-    return ConvertFromStore(*reader, input, output, *options, resegment,
-                            same_file, out, err);
+    return ConvertFromStore(*reader, input, output, *options, same_file,
+                            out, err);
   }
 
   ItemDictionary dict;
@@ -500,7 +453,7 @@ int ConvertCommand(const std::vector<const char*>& argv,
         << "\n";
     return 1;
   }
-  out << "wrote " << output << " (v" << reopened->version() << "): "
+  out << "wrote " << output << ": "
       << FormatCount(static_cast<int64_t>(db->size()))
       << " transactions, "
       << FormatCount(static_cast<int64_t>(db->total_items()))
@@ -722,21 +675,17 @@ int InspectCommand(const std::vector<const char*>& argv,
         << ": offset " << e.offset << ", "
         << FormatBytes(static_cast<int64_t>(e.size)) << "\n";
   }
-  if (const SegmentCatalog* catalog = reader->catalog()) {
-    out << "  catalog: " << catalog->num_segments() << " segments, "
-        << catalog->tracked_ids().size() << " tracked items, "
-        << catalog->bitset_bits() << "-bit segment bitsets, mean fill "
-        << FormatDouble(catalog->MeanBitsetFill() * 100.0, 1) << "%\n";
-    if (!catalog->tracked_ids().empty()) {
-      out << "  tracked:";
-      for (ItemId id : catalog->tracked_ids()) {
-        out << " " << reader->dict().Name(id);
-      }
-      out << "\n";
+  const SegmentCatalog* catalog = reader->catalog();
+  out << "  catalog: " << catalog->num_segments() << " segments, "
+      << catalog->tracked_ids().size() << " tracked items, "
+      << catalog->bitset_bits() << "-bit segment bitsets, mean fill "
+      << FormatDouble(catalog->MeanBitsetFill() * 100.0, 1) << "%\n";
+  if (!catalog->tracked_ids().empty()) {
+    out << "  tracked:";
+    for (ItemId id : catalog->tracked_ids()) {
+      out << " " << reader->dict().Name(id);
     }
-  } else {
-    out << "  catalog: none (v" << h.version
-        << " stores carry no segment catalog)\n";
+    out << "\n";
   }
   Status checksums = reader->VerifyChecksums();
   if (!checksums.ok()) {
@@ -872,8 +821,7 @@ int DatagenCommand(const std::vector<const char*>& argv,
     err << "error: " << written << "\n";
     return 1;
   }
-  out << "wrote " << output << " (v" << options->version
-      << "): " << scenario << ", "
+  out << "wrote " << output << ": " << scenario << ", "
       << FormatCount(static_cast<int64_t>(db.size()))
       << " transactions, "
       << FormatCount(static_cast<int64_t>(db.total_items())) << " items, "
@@ -1561,8 +1509,7 @@ constexpr char kTopLevelHelp[] =
     "  flipper_cli mine <basket> <taxonomy> [flags]\n"
     "  flipper_cli mine --input <data.fdb> [flags]\n"
     "  flipper_cli convert <basket> <taxonomy> <out.fdb>\n"
-    "  flipper_cli convert --from-fdb <in.fdb> <out.fdb> "
-    "[--store-version N]\n"
+    "  flipper_cli convert --from-fdb <in.fdb> <out.fdb>\n"
     "  flipper_cli inspect <data.fdb>\n"
     "  flipper_cli validate <data.fdb>\n"
     "  flipper_cli repair <data.fdb> [--apply]\n"

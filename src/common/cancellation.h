@@ -2,13 +2,16 @@
 //
 // A CancelToken combines an explicit cancel flag (set by a watcher
 // thread, e.g. on client disconnect or daemon drain) with an optional
-// steady-clock deadline. Work loops poll Fired() at segment/batch
-// granularity; an un-fired token is a single relaxed atomic load (plus
-// one clock read when a deadline is set), so plumbing a token through
-// a run is byte-identity-preserving and near-free. A fired token makes
-// the pipeline unwind through the normal error path: futures are
-// joined, pooled scratch returns to its pool, and the caller sees
-// Status::DeadlineExceeded or Status::Cancelled.
+// steady-clock deadline. Work loops poll Fired() every few hundred
+// transactions (count shards, scan cells) or every
+// kCancelPollCandidates candidates (the driver's subset filter and
+// cell evaluation), and between cells and stages; an un-fired token is
+// a single relaxed atomic load (plus one clock read when a deadline is
+// set), so plumbing a token through a run is byte-identity-preserving
+// and near-free. A fired token makes the pipeline unwind through the
+// normal error path: futures are joined, pooled scratch returns to its
+// pool, and the caller sees Status::DeadlineExceeded or
+// Status::Cancelled.
 //
 // Thread-safety: SetDeadline()/ChainTo() configure the token and must
 // happen-before the token is shared with workers (they write plain
@@ -19,11 +22,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/status.h"
 
 namespace flipper {
+
+/// Candidates a driver-side per-candidate loop handles between two
+/// cancellation polls.
+inline constexpr size_t kCancelPollCandidates = 1024;
 
 class CancelToken {
  public:

@@ -102,11 +102,17 @@ void VerticalExpand(const Itemset& parent, const Taxonomy& taxonomy,
 }
 
 std::vector<Itemset> FilterKnownInfrequentSubsets(
-    std::vector<Itemset> candidates, const Cell& prev_in_row) {
+    std::vector<Itemset> candidates, const Cell& prev_in_row,
+    const CancelToken* cancel) {
   if (prev_in_row.empty()) return candidates;
   std::vector<Itemset> out;
   out.reserve(candidates.size());
-  for (const Itemset& cand : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (cancel != nullptr && i % kCancelPollCandidates == 0 &&
+        cancel->Fired()) {
+      break;
+    }
+    const Itemset& cand = candidates[i];
     bool viable = true;
     for (int drop = 0; drop < cand.size() && viable; ++drop) {
       const ItemsetRecord* rec = prev_in_row.Find(cand.WithoutIndex(drop));

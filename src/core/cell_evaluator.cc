@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/cancellation.h"
 #include "common/logging.h"
 #include "core/label.h"
 #include "core/pattern.h"
@@ -47,6 +48,10 @@ Cell CellEvaluator::Evaluate(int h, int k,
       chains_[static_cast<size_t>(h > 1 ? h - 1 : h)];
   std::vector<uint32_t> item_sups;
   for (size_t i = 0; i < candidates.size(); ++i) {
+    if (config_.cancel != nullptr && i % kCancelPollCandidates == 0 &&
+        config_.cancel->Fired()) {
+      break;
+    }
     const Itemset& itemset = candidates[i];
     const uint32_t sup = supports[i];
     ItemsetRecord record;

@@ -38,7 +38,9 @@ class CellEvaluator {
   /// Builds cell Q(h,k) from the counted batch: support/correlation/
   /// label per record, the flip check against `parent_cell` (null for
   /// row 1), chain extension for alive itemsets. Updates cs->frequent/
-  /// labeled/alive and stats->num_positive/num_negative.
+  /// labeled/alive and stats->num_positive/num_negative. Stops early,
+  /// leaving a partial cell, once config.cancel fires (callers check
+  /// the token and discard it).
   Cell Evaluate(int h, int k, std::span<const Itemset> candidates,
                 std::span<const uint32_t> supports,
                 const Cell* parent_cell, CellStats* cs,

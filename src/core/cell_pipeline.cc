@@ -171,7 +171,7 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     // is no longer needed at all (chains carry its data forward).
     row1.clear();
     evaluator_->ReleaseChains(1);
-    EvictCompletedRow(&row2);
+    FLIPPER_RETURN_IF_ERROR(EvictCompletedRow(&row2));
   }
 
   // --- Phase 2: rows 3..H, row-wise (lines 8-15). ---
@@ -209,7 +209,7 @@ Result<MiningResult> CellPipeline::Execute(const TransactionDb& db,
     StageScope stage(metrics_, "evict");
     prev_row.clear();
     evaluator_->ReleaseChains(h - 1);
-    EvictCompletedRow(&cur_row);
+    FLIPPER_RETURN_IF_ERROR(EvictCompletedRow(&cur_row));
     prev_row = std::move(cur_row);
   }
 
@@ -337,7 +337,9 @@ Status CellPipeline::BeginVerticalCell(int h, int k, const Cell* parent,
   if (prev_in_row != nullptr) {
     StageScope stage(metrics_, "subset_filter", h, k);
     work->candidates = FilterKnownInfrequentSubsets(
-        std::move(work->candidates), *prev_in_row);
+        std::move(work->candidates), *prev_in_row, config_.cancel);
+    // A fired token left the list partial — never count it.
+    FLIPPER_RETURN_IF_ERROR(CheckCancel());
   }
   if (plan.truncated) return TruncatedError(h, k);
   work->cs.counted = work->candidates.size();
@@ -360,6 +362,8 @@ Result<Cell> CellPipeline::FinishCell(CellWork* work, const Cell* parent) {
   Cell cell =
       evaluator_->Evaluate(work->cs.h, work->cs.k, work->candidates,
                            work->supports, parent, &work->cs, &stats_);
+  // A token that fired mid-evaluation left the cell partial.
+  FLIPPER_RETURN_IF_ERROR(CheckCancel());
   work->cs.seconds = work->timer.ElapsedSeconds();
   stats_.AddCell(work->cs);
   return cell;
@@ -372,14 +376,16 @@ Status CellPipeline::TruncatedError(int h, int k) const {
       std::to_string(config_.max_candidates_per_cell) + ")");
 }
 
-void CellPipeline::EvictCompletedRow(Row* row) {
+Status CellPipeline::EvictCompletedRow(Row* row) {
   for (Cell& cell : *row) {
+    FLIPPER_RETURN_IF_ERROR(CheckCancel());
     if (config_.pruning.flipping) {
       cell.Retain([](const ItemsetRecord& r) { return r.chain_alive; });
     } else {
       cell.Retain([](const ItemsetRecord& r) { return r.frequent; });
     }
   }
+  return Status::OK();
 }
 
 }  // namespace flipper

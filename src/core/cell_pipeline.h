@@ -97,7 +97,8 @@ class CellPipeline {
   Status BeginVerticalCell(int h, int k, const Cell* parent,
                            const Cell* prev_in_row, CellWork* work);
 
-  /// Joins the count, runs evaluation, commits the cell's stats.
+  /// Joins the count, runs evaluation, commits the cell's stats. Never
+  /// returns a cell that cancellation cut short.
   Result<Cell> FinishCell(CellWork* work, const Cell* parent);
 
   Status TruncatedError(int h, int k) const;
@@ -119,8 +120,8 @@ class CellPipeline {
 
   /// Evicts records a completed row no longer needs: chain-dead ones
   /// under flipping pruning ("eliminate non-flipping patterns"),
-  /// infrequent ones always.
-  void EvictCompletedRow(Row* row);
+  /// infrequent ones always. Polls cancellation between cells.
+  Status EvictCompletedRow(Row* row);
 
   /// Absorbs the run's counters, stage histograms and pool utilization
   /// into config_.metrics (no-op when null).

@@ -111,8 +111,9 @@ struct MiningConfig {
   MetricsRegistry* metrics = nullptr;
 
   /// Optional cooperative-cancellation token (common/cancellation.h).
-  /// The pipeline, counters and scan cells poll it at segment/batch
-  /// granularity; when it fires the run unwinds through the error path
+  /// The pipeline, counters and scan cells poll it every few hundred
+  /// transactions or kCancelPollCandidates candidates and between
+  /// stages; when it fires the run unwinds through the error path
   /// (futures joined, pooled scratch returned) and Run returns the
   /// token's DeadlineExceeded/Cancelled status. Not owned; must outlive
   /// the run. An un-fired token never changes mining output — results

@@ -1,7 +1,7 @@
 // FlipperStore on-disk format (.fdb): a single versioned binary file
-// holding a complete mining input — the CSR transaction database, the
-// item-name dictionary, and the taxonomy — so datasets load in O(mmap)
-// (v1) or one bounds-checked decode pass (v2).
+// holding a complete mining input — the transaction database, the
+// item-name dictionary, and the taxonomy — so datasets load in one
+// bounds-checked decode pass.
 //
 // Layout (all integers little-endian, fixed width unless marked):
 //
@@ -12,25 +12,18 @@
 //                     files keep theirs in the commit trailer)
 //   [section payloads ...]  each 8-byte aligned, padded with zeros
 //
-// Version-1 sections (exactly these seven, in any physical order; the
-// table records where each one lives):
-//
-//   kTxnOffsets   (num_transactions + 1) x u64   CSR boundaries
-//   kTxnItems     num_items x u32                flattened sorted items
-//   kSegments     (num_segments + 1) x u64       shard txn boundaries
-//   kDictOffsets  (dict_size + 1) x u64          byte offsets into blob
-//   kDictBlob     raw bytes                      concatenated names
-//   kTaxParents   taxonomy_id_space x u32        parent per id
-//   kTaxRoots     taxonomy_num_roots x u32       level-1 node ids
-//
-// Version 2 keeps the container (header, table, checksums, alignment)
-// and the dictionary/taxonomy/segments sections unchanged, but
-// compresses the two big columns and adds a segment catalog:
+// Sections (in any physical order; the table records where each one
+// lives):
 //
 //   kTxnOffsets   num_transactions varints       per-txn width (delta
 //                                                of the CSR boundary)
 //   kTxnItems     per txn: varint first item,    sorted items as gaps
 //                 then varint gaps (>= 1)
+//   kSegments     (num_segments + 1) x u64       shard txn boundaries
+//   kDictOffsets  (dict_size + 1) x u64          byte offsets into blob
+//   kDictBlob     raw bytes                      concatenated names
+//   kTaxParents   taxonomy_id_space x u32        parent per id
+//   kTaxRoots     taxonomy_num_roots x u32       level-1 node ids
 //   kSegCatalog   fixed-width catalog (below)    scan-skipping metadata
 //
 // kSegCatalog payload:
@@ -50,9 +43,9 @@
 // sharded scans — LevelViews::ScanShards and future distributed
 // readers — can split the file without touching the offsets section.
 //
-// Append sessions (v2 only): StoreWriter::OpenAppend extends a
-// committed v2 store without rewriting it. Each session appends, past
-// the committed end of the file,
+// Append sessions: StoreWriter::OpenAppend extends a committed store
+// without rewriting it. Each session appends, past the committed end
+// of the file,
 //
 //   [new kTxnItems block]     the session's transactions, same varint
 //   [new kTxnOffsets block]   encoding as a fresh store
@@ -64,11 +57,10 @@
 // per session; readers treat the blocks, concatenated in section-table
 // order, as one logical column (blocks end on transaction boundaries —
 // a varint never straddles two blocks). section_count therefore grows
-// by 2 per session: a v2 file holds >= 8 sections, always 6 singletons
+// by 2 per session: a file holds >= 8 sections, always 6 singletons
 // plus equally many offsets and items blocks. The superseded copies of
 // the small sections become dead bytes (reclaimed by
-// `flipper_cli convert --from-fdb`, which compacts). v1 files are
-// read-only: no append, ever.
+// `flipper_cli convert --from-fdb`, which compacts).
 //
 // Commit protocol: the trailer is [section table][FileHeader] with
 // header.table_offset pointing at that trailing table and
@@ -83,12 +75,14 @@
 // from the trailer. Either way the last committed state survives
 // byte-exactly; `flipper_cli repair` applies exactly these two rules.
 //
-// Versioning rules: readers accept exactly the versions they know
-// (currently 1 and 2); any other layout or semantic change bumps the
-// version. Reserved fields are written as zero and ignored on read, so
-// compatible additions can reuse them without a bump (table_offset
-// reused one such field: old readers would reject appended files on
-// section_count, not misread them).
+// Versioning rules: readers accept exactly the version they know
+// (kFormatVersion); any layout or semantic change bumps it. Version 1
+// (raw fixed-width columns, no catalog) is no longer read: such files
+// are rewritten by `flipper_cli convert --from-fdb` on a build that
+// still reads them. Reserved fields are written as zero and ignored on
+// read, so compatible additions can reuse them without a bump
+// (table_offset reused one such field: old readers would reject
+// appended files on section_count, not misread them).
 
 #ifndef FLIPPER_STORAGE_FORMAT_H_
 #define FLIPPER_STORAGE_FORMAT_H_
@@ -100,10 +94,8 @@ namespace flipper {
 namespace storage {
 
 inline constexpr char kMagic[8] = {'F', 'L', 'I', 'P', 'F', 'D', 'B', '\0'};
-inline constexpr uint32_t kFormatVersionV1 = 1;
-inline constexpr uint32_t kFormatVersionV2 = 2;
-/// The version new files are written with by default.
-inline constexpr uint32_t kFormatVersionLatest = kFormatVersionV2;
+/// The one version this build reads and writes.
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr uint64_t kSectionAlignment = 8;
 /// Upper bound on the per-segment catalog bitset (64-bit words);
 /// writer option validation and reader corruption checks share it.
@@ -117,21 +109,12 @@ enum class SectionId : uint32_t {
   kDictBlob = 5,
   kTaxParents = 6,
   kTaxRoots = 7,
-  kSegCatalog = 8,  // v2 only
+  kSegCatalog = 8,
 };
 
-inline constexpr uint32_t kNumSectionsV1 = 7;
-inline constexpr uint32_t kNumSectionsV2 = 8;
-
-/// Section count a fresh file of `version` carries (0 for unknown
-/// versions). v1 files hold exactly this many; v2 files hold at least
-/// this many — each append session adds one kTxnOffsets and one
-/// kTxnItems block.
-inline constexpr uint32_t SectionCountForVersion(uint32_t version) {
-  if (version == kFormatVersionV1) return kNumSectionsV1;
-  if (version == kFormatVersionV2) return kNumSectionsV2;
-  return 0;
-}
+/// Sections a fresh file carries, one per SectionId; each append
+/// session adds one kTxnOffsets and one kTxnItems block.
+inline constexpr uint32_t kMinSectionCount = 8;
 
 /// Sanity bound on section_count before the reader sizes its table
 /// buffer (2 blocks per append session: this admits ~32k sessions).
@@ -169,8 +152,8 @@ struct FileHeader {
   uint32_t taxonomy_num_roots = 0;
   uint32_t flags = 0;  // reserved, zero
   /// Absolute byte offset of the section table; 0 means "immediately
-  /// after this header" (the only layout v1 and fresh v2 files use, so
-  /// their bytes are unchanged from when this field was reserved).
+  /// after this header" (the layout fresh files use, so their bytes
+  /// are unchanged from when this field was reserved).
   /// Append sessions point it at the commit trailer near the end of
   /// the file.
   uint64_t table_offset = 0;

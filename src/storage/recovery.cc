@@ -17,7 +17,7 @@ bool ParseHeader(const std::byte* at, FileHeader* h, std::string* why) {
     *why = "bad magic (not a FlipperStore header)";
     return false;
   }
-  if (SectionCountForVersion(h->version) == 0) {
+  if (h->version != kFormatVersion) {
     *why = "unsupported version " + std::to_string(h->version);
     return false;
   }

@@ -57,12 +57,17 @@ Result<FileHeader> ParseHeaderAt(const std::byte* at, uint64_t avail,
   if (std::memcmp(h.magic, kMagic, sizeof(kMagic)) != 0) {
     return Corrupt("bad magic, not a FlipperStore file: " + path);
   }
-  if (SectionCountForVersion(h.version) == 0) {
-    return Status::InvalidArgument(
-        "unsupported store version " + std::to_string(h.version) +
-        " (this build reads versions " +
-        std::to_string(kFormatVersionV1) + " and " +
-        std::to_string(kFormatVersionV2) + "): " + path);
+  if (h.version != kFormatVersion) {
+    std::string msg = "unsupported store version " +
+                      std::to_string(h.version) +
+                      " (this build reads version " +
+                      std::to_string(kFormatVersion) + "): " + path;
+    if (h.version < kFormatVersion) {
+      msg += " — rewrite it with `flipper_cli convert --from-fdb` on a "
+             "build that still reads version " +
+             std::to_string(h.version);
+    }
+    return Status::InvalidArgument(std::move(msg));
   }
   if (HeaderChecksum(h) != h.header_checksum) {
     return Corrupt("header checksum mismatch: " + path);
@@ -82,7 +87,7 @@ constexpr size_t kMinTxnsPerShard = 1024;
 /// ColumnChunk::bad when the chunk decoded every value it owns.
 constexpr uint64_t kNoBadValue = std::numeric_limits<uint64_t>::max();
 
-// Messages shared by the v1 and v2 payload checks.
+// Payload error messages.
 Status WidthOverflow(uint64_t txn) {
   return Corrupt("transaction width overflows at txn " +
                  std::to_string(txn));
@@ -422,10 +427,10 @@ TxnCheck CheckTransactions(ThreadPool* pool, size_t num_txns,
   return out;
 }
 
-/// Parses the v2 segment catalog section with the structural checks
+/// Parses the segment catalog section with the structural checks
 /// (layout, id ranges, supports within segment sizes); whether it
 /// agrees with the items is CheckCatalog's job.
-Result<SegmentCatalog> ParseCatalogV2(const FileHeader& h,
+Result<SegmentCatalog> ParseCatalog(const FileHeader& h,
                                       std::span<const uint64_t> segments,
                                       const std::byte* base,
                                       const SectionEntry& entry) {
@@ -551,7 +556,7 @@ Status CheckCatalog(const SegmentCatalog& stored,
 
 }  // namespace
 
-Status StoreReader::DecodeColumnsV2(
+Status StoreReader::DecodeColumns(
     const std::byte* base,
     std::span<const SectionEntry* const> offsets_blocks,
     std::span<const SectionEntry* const> items_blocks, ThreadPool* pool,
@@ -731,7 +736,7 @@ Result<StoreReader> StoreReader::Open(const std::string& path,
         " bytes, file has " + std::to_string(file.size()) +
         " — run `flipper_cli repair` to truncate the torn tail");
   }
-  return OpenParsed(std::move(file), h, options, path);
+  return OpenParsed(std::move(file), h, options);
 }
 
 Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
@@ -787,7 +792,7 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
                        : "front header is torn but the commit trailer "
                          "is intact";
     }
-    return OpenParsed(std::move(file), tail, options, path);
+    return OpenParsed(std::move(file), tail, options);
   }
 
   if (front.ok()) {
@@ -797,14 +802,14 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
     if (h.file_size == physical) {
       out.recovery = PrefixInfo::Recovery::kClean;
       out.detail = "header spans the file exactly";
-      return OpenParsed(std::move(file), h, options, path);
+      return OpenParsed(std::move(file), h, options);
     }
     if (h.file_size < physical) {
       out.recovery = PrefixInfo::Recovery::kTruncateTail;
       out.detail = std::to_string(physical - h.file_size) +
                    " torn bytes past the committed store "
                    "(crashed append session)";
-      return OpenParsed(std::move(file), h, options, path);
+      return OpenParsed(std::move(file), h, options);
     }
     out.committed_size = 0;
     return Corrupt("header records " + std::to_string(h.file_size) +
@@ -821,8 +826,7 @@ Result<StoreReader> StoreReader::OpenPrefix(const std::string& path,
 
 Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
                                             const FileHeader& header,
-                                            const OpenOptions& options,
-                                            const std::string& path) {
+                                            const OpenOptions& options) {
   StoreReader reader;
   reader.file_ = std::move(file);
   reader.header_ = header;
@@ -836,18 +840,11 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
       static_cast<uint64_t>(std::numeric_limits<TxnId>::max())) {
     return Corrupt("transaction count exceeds the TxnId range");
   }
-  const bool v2 = h.version == kFormatVersionV2;
 
   // --- Section table. ---
-  const uint32_t fresh_sections = SectionCountForVersion(h.version);
-  if (!v2 && h.section_count != fresh_sections) {
-    return Corrupt("version-" + std::to_string(h.version) +
-                   " files carry " + std::to_string(fresh_sections) +
-                   " sections, found " + std::to_string(h.section_count));
-  }
-  if (v2 && h.section_count < fresh_sections) {
-    return Corrupt("version-2 files carry at least " +
-                   std::to_string(fresh_sections) + " sections, found " +
+  if (h.section_count < kMinSectionCount) {
+    return Corrupt("store files carry at least " +
+                   std::to_string(kMinSectionCount) + " sections, found " +
                    std::to_string(h.section_count));
   }
   if (h.section_count > kMaxSectionCount) {
@@ -874,15 +871,16 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
 
   // Singleton sections are unique; the two transaction columns may
   // appear as several blocks (one pair per append session).
-  const uint32_t max_id = v2 ? kNumSectionsV2 : kNumSectionsV1;
-  const SectionEntry* by_id[kNumSectionsV2] = {};
+  const auto is_column = [](uint32_t id) {
+    return id == static_cast<uint32_t>(SectionId::kTxnOffsets) ||
+           id == static_cast<uint32_t>(SectionId::kTxnItems);
+  };
+  const SectionEntry* by_id[kMinSectionCount] = {};
   std::vector<const SectionEntry*> offsets_blocks;
   std::vector<const SectionEntry*> items_blocks;
   for (const SectionEntry& e : reader.sections_) {
-    if (e.id < 1 || e.id > max_id) {
-      return Corrupt("unknown section id " + std::to_string(e.id) +
-                     " for a version-" + std::to_string(h.version) +
-                     " file");
+    if (e.id < 1 || e.id > kMinSectionCount) {
+      return Corrupt("unknown section id " + std::to_string(e.id));
     }
     if (e.offset % kSectionAlignment != 0) {
       return Corrupt(std::string(SectionIdName(SectionId(e.id))) +
@@ -892,11 +890,7 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
       return Corrupt(std::string(SectionIdName(SectionId(e.id))) +
                      " section extends past end of file");
     }
-    const bool column = v2 && (e.id == static_cast<uint32_t>(
-                                           SectionId::kTxnOffsets) ||
-                               e.id == static_cast<uint32_t>(
-                                           SectionId::kTxnItems));
-    if (column) {
+    if (is_column(e.id)) {
       (e.id == static_cast<uint32_t>(SectionId::kTxnOffsets)
            ? offsets_blocks
            : items_blocks)
@@ -909,18 +903,14 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
     }
     by_id[e.id - 1] = &e;
   }
-  for (uint32_t id = 1; id <= max_id; ++id) {
-    const bool column = v2 && (id == static_cast<uint32_t>(
-                                         SectionId::kTxnOffsets) ||
-                               id == static_cast<uint32_t>(
-                                         SectionId::kTxnItems));
-    if (!column && by_id[id - 1] == nullptr) {
+  for (uint32_t id = 1; id <= kMinSectionCount; ++id) {
+    if (!is_column(id) && by_id[id - 1] == nullptr) {
       return Corrupt(std::string("missing section ") +
                      SectionIdName(SectionId(id)));
     }
   }
-  if (v2 && (offsets_blocks.empty() ||
-             offsets_blocks.size() != items_blocks.size())) {
+  if (offsets_blocks.empty() ||
+      offsets_blocks.size() != items_blocks.size()) {
     return Corrupt("column blocks are unpaired: " +
                    std::to_string(offsets_blocks.size()) +
                    " txn_offsets vs " +
@@ -932,13 +922,6 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   };
 
   // --- Element counts against the header (fixed-width sections). ---
-  if (!v2) {
-    FLIPPER_RETURN_IF_ERROR(CheckElementCount(
-        section(SectionId::kTxnOffsets), h.num_transactions + 1,
-        sizeof(uint64_t)));
-    FLIPPER_RETURN_IF_ERROR(CheckElementCount(
-        section(SectionId::kTxnItems), h.num_items, sizeof(uint32_t)));
-  }
   FLIPPER_RETURN_IF_ERROR(CheckElementCount(
       section(SectionId::kSegments), h.num_segments + 1,
       sizeof(uint64_t)));
@@ -1009,79 +992,24 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   // The payload passes run sharded: on the caller's pool, on a
   // transient one when a column is larger than one decode chunk, and
   // inline otherwise.
-  const uint64_t column_bytes =
-      v2 ? std::max(ColumnBytes(offsets_blocks), ColumnBytes(items_blocks))
-         : std::max(section(SectionId::kTxnOffsets).size,
-                    section(SectionId::kTxnItems).size);
   std::optional<ThreadPool> transient_pool;
   ThreadPool* pool = options.pool;
-  if (pool == nullptr && (v2 || options.validate) &&
-      column_bytes > kMinChunkBytes) {
+  if (pool == nullptr &&
+      std::max(ColumnBytes(offsets_blocks), ColumnBytes(items_blocks)) >
+          kMinChunkBytes) {
     pool = &transient_pool.emplace(0);
   }
-  std::span<const uint64_t> offsets;
-  std::span<const ItemId> items;
-  // v2: the catalog section is parsed up front so the check pass can
-  // count what it must match; its verdict is reported in file order,
-  // after the columns and the taxonomy.
-  Result<SegmentCatalog> catalog = SegmentCatalog();
+  // The catalog section is parsed up front so the check pass can count
+  // what it must match; its verdict is reported in file order, after
+  // the columns and the taxonomy.
+  Result<SegmentCatalog> catalog =
+      ParseCatalog(h, segments, base, section(SectionId::kSegCatalog));
   SegmentCatalog counted;
   std::vector<uint32_t> item_freq;
-  if (!v2) {
-    offsets = U64Span(base, section(SectionId::kTxnOffsets));
-    const std::span<const uint32_t> raw_items =
-        U32Span(base, section(SectionId::kTxnItems));
-    items = std::span<const ItemId>(raw_items.data(), raw_items.size());
-
-    // Payload validation (the O(num_items) pass; v2 always runs its
-    // own in the decode).
-    if (options.validate) {
-      if (offsets.front() != 0 || offsets.back() != h.num_items) {
-        return Corrupt("transaction offsets do not span the items");
-      }
-      FLIPPER_TRACE_SPAN("store_check", "detail");
-      const auto check = [&](size_t t, std::span<const ItemId>* txn)
-          -> std::optional<Status> {
-        const uint64_t lo = offsets[t];
-        const uint64_t hi = offsets[t + 1];
-        if (lo > hi || hi > h.num_items) {
-          return Corrupt("transaction offsets are not monotone at txn " +
-                         std::to_string(t));
-        }
-        if (hi - lo > std::numeric_limits<uint32_t>::max()) {
-          return WidthOverflow(t);
-        }
-        for (uint64_t i = lo; i < hi; ++i) {
-          if (items[i] >= h.alphabet_size) {
-            return ItemOutOfRange(items[i], t);
-          }
-          if (i > lo && items[i - 1] >= items[i]) return ItemsNotSorted(t);
-        }
-        *txn = items.subspan(lo, hi - lo);
-        return std::nullopt;
-      };
-      TxnCheck checked =
-          CheckTransactions(pool, h.num_transactions, check, nullptr);
-      if (checked.error) return *std::move(checked.error);
-      if (checked.max_width != h.max_width) {
-        return MismatchWithHeader("max_width", h.max_width,
-                                  checked.max_width);
-      }
-      if (checked.alphabet != h.alphabet_size) {
-        return MismatchWithHeader("alphabet_size", h.alphabet_size,
-                                  checked.alphabet);
-      }
-    }
-  } else {
-    catalog = ParseCatalogV2(h, segments, base,
-                             section(SectionId::kSegCatalog));
-    const bool count_catalog = options.validate && catalog.ok();
-    FLIPPER_RETURN_IF_ERROR(reader.DecodeColumnsV2(
-        base, offsets_blocks, items_blocks, pool,
-        count_catalog ? &*catalog : nullptr, &counted, &item_freq));
-    offsets = reader.decoded_offsets_;
-    items = reader.decoded_items_;
-  }
+  FLIPPER_RETURN_IF_ERROR(reader.DecodeColumns(
+      base, offsets_blocks, items_blocks, pool,
+      options.validate && catalog.ok() ? &*catalog : nullptr, &counted,
+      &item_freq));
 
   // --- Reconstruct the taxonomy (canonical: children end up sorted,
   // independent of original edge declaration order). ---
@@ -1109,19 +1037,18 @@ Result<StoreReader> StoreReader::OpenParsed(MmapFile file,
   // --- Borrowed views over the mapping / decode buffers. ---
   reader.dict_ = ItemDictionary::FromBorrowed(name_offsets, blob);
   reader.db_ = TransactionDb::FromBorrowed(
-      offsets, items, h.alphabet_size, h.max_width);
+      reader.decoded_offsets_, reader.decoded_items_, h.alphabet_size,
+      h.max_width);
 
-  // --- The v2 segment catalog (checked against the figures the
-  // decode counted, then attached to the database for scan skipping).
-  if (v2) {
-    if (!catalog.ok()) return catalog.status();
-    if (options.validate) {
-      FLIPPER_RETURN_IF_ERROR(CheckCatalog(*catalog, counted, item_freq));
-    }
-    reader.catalog_ =
-        std::make_shared<const SegmentCatalog>(std::move(catalog).value());
-    reader.db_.AttachSegmentCatalog(reader.catalog_);
+  // --- The segment catalog (checked against the figures the decode
+  // counted, then attached to the database for scan skipping). ---
+  if (!catalog.ok()) return catalog.status();
+  if (options.validate) {
+    FLIPPER_RETURN_IF_ERROR(CheckCatalog(*catalog, counted, item_freq));
   }
+  reader.catalog_ =
+      std::make_shared<const SegmentCatalog>(std::move(catalog).value());
+  reader.db_.AttachSegmentCatalog(reader.catalog_);
   return reader;
 }
 

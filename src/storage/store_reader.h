@@ -1,41 +1,38 @@
-// StoreReader: opens a .fdb FlipperStore file (version 1 or 2) and
+// StoreReader: opens a .fdb FlipperStore file (storage/format.h) and
 // exposes its contents as ready-to-mine objects.
 //
-// v1 files carry raw fixed-width columns: the transaction database and
-// dictionary are zero-copy views over the file mapping (borrowed-span
-// mode of TransactionDb / ItemDictionary); only the taxonomy — a few
-// KB of tree structure — is reconstructed in memory.
-//
-// v2 files carry delta+varint columns, which Open() decodes into
-// reader-owned buffers (the spans the TransactionDb borrows then point
-// at those buffers) in three sharded phases: count the varint
-// terminator bytes of every column chunk, decode each chunk's varints
-// straight into the final buffers, then resolve gaps into item ids
-// and check them over balanced transaction ranges. Open() also
-// decodes the segment catalog, which it attaches to the database for
-// scan skipping and exposes through catalog().
+// The dictionary is a zero-copy view over the file mapping
+// (borrowed-span mode of ItemDictionary); the taxonomy — a few KB of
+// tree structure — is reconstructed in memory. The delta+varint
+// transaction columns are decoded into reader-owned buffers (the spans
+// the TransactionDb borrows point at those buffers) in three sharded
+// phases: count the varint terminator bytes of every column chunk,
+// decode each chunk's varints straight into the final buffers, then
+// resolve gaps into item ids and check them over balanced transaction
+// ranges. Open() also decodes the segment catalog, which it attaches
+// to the database for scan skipping and exposes through catalog().
 //
 // On platforms without mmap (or with OpenOptions::force_heap) the file
 // is read into one aligned heap buffer instead, with identical
 // semantics.
 //
-// Appended v2 stores (StoreWriter::OpenAppend) carry one
+// Appended stores (StoreWriter::OpenAppend) carry one
 // kTxnOffsets/kTxnItems block pair per session; the decode treats the
 // blocks, in section-table order, as one logical column. For files
 // torn by a crash mid-append, OpenPrefix() recovers the last committed
 // state (see PrefixInfo); Open() itself stays strict.
 //
 // Open() hard-validates the header checksum, the section table, and
-// every section's bounds before handing out a single pointer; with
-// OpenOptions::validate (the default) it additionally scans the
-// payloads so that every CSR offset is monotone, every item id is
-// in-range and sorted within its transaction, the header's derived
-// metadata matches the data, and (v2) the catalog agrees with the
-// figures the check pass counts from the items. The v2 column decode
-// is always fully checked — a truncated varint or an out-of-range id
-// is a Status error even in trusted mode. A corrupt or truncated file
-// yields a Status error, never UB, and the error is the same at every
-// thread count: it names the lowest failing transaction.
+// every section's bounds before handing out a single pointer, and the
+// column decode proves every CSR offset in range, every item id
+// in-range and sorted within its transaction, and the header's derived
+// metadata equal to the data — a truncated varint or an out-of-range
+// id is a Status error even in trusted mode. With
+// OpenOptions::validate (the default) it additionally checks that the
+// catalog agrees with the figures the check pass counts from the
+// items. A corrupt or truncated file yields a Status error, never UB,
+// and the error is the same at every thread count: it names the lowest
+// failing transaction.
 
 #ifndef FLIPPER_STORAGE_STORE_READER_H_
 #define FLIPPER_STORAGE_STORE_READER_H_
@@ -78,14 +75,12 @@ struct PrefixInfo {
 };
 
 struct OpenOptions {
-  /// Scan section payloads (O(num_items)) so that every offset and
-  /// item id is proven in-bounds before use: the v1 columns, and the
-  /// v2 catalog against the figures the decode's check pass counts.
-  /// Disable only for trusted files (e.g. open-latency benchmarks);
-  /// structural checks — header checksum, section table, section
-  /// bounds, dictionary offsets, segment boundaries, taxonomy
-  /// reconstruction, and the fully checked v2 varint decode itself —
-  /// always run.
+  /// Check the segment catalog against the figures the decode's check
+  /// pass counts from the items (O(num_items)). Disable only for
+  /// trusted files (e.g. open-latency benchmarks); structural checks —
+  /// header checksum, section table, section bounds, dictionary
+  /// offsets, segment boundaries, taxonomy reconstruction, and the
+  /// fully checked varint decode itself — always run.
   bool validate = true;
   /// Skip mmap and read the file into memory (the portable fallback;
   /// also exercised by tests).
@@ -122,8 +117,8 @@ class StoreReader {
   StoreReader(const StoreReader&) = delete;
   StoreReader& operator=(const StoreReader&) = delete;
 
-  /// Borrowed views into the file (v1) or the reader's decode buffers
-  /// (v2); valid while this reader is alive.
+  /// Views into the reader's decode buffers (db) and the file mapping
+  /// (dict); valid while this reader is alive.
   const TransactionDb& db() const { return db_; }
   const ItemDictionary& dict() const { return dict_; }
   const Taxonomy& taxonomy() const { return taxonomy_; }
@@ -132,12 +127,11 @@ class StoreReader {
   /// at 0 and ending at num_transactions.
   std::span<const uint64_t> segments() const { return segments_; }
 
-  /// The decoded segment catalog, or nullptr for v1 files (which do
-  /// not carry one). Also attached to db() for the mining paths.
+  /// The decoded segment catalog; non-null for every open store. Also
+  /// attached to db() for the mining paths.
   const SegmentCatalog* catalog() const { return catalog_.get(); }
 
   const FileHeader& header() const { return header_; }
-  uint32_t version() const { return header_.version; }
   std::span<const SectionEntry> sections() const { return sections_; }
   bool mapped() const { return file_.mapped(); }
   uint64_t file_size() const { return file_.size(); }
@@ -155,10 +149,9 @@ class StoreReader {
   /// never larger.
   static Result<StoreReader> OpenParsed(MmapFile file,
                                         const FileHeader& header,
-                                        const OpenOptions& options,
-                                        const std::string& path);
+                                        const OpenOptions& options);
 
-  /// Decodes the v2 varint columns into decoded_offsets_ /
+  /// Decodes the varint columns into decoded_offsets_ /
   /// decoded_items_ with every check the format allows — truncated or
   /// over-long varints, trailing bytes, width overflow, zero and
   /// out-of-range gaps, out-of-range ids, the header's max_width and
@@ -169,18 +162,18 @@ class StoreReader {
   /// catalog section must match: `counted` gets its per-segment
   /// figures (with the stored tracked ids), `item_freq` the item
   /// supports.
-  Status DecodeColumnsV2(const std::byte* base,
-                         std::span<const SectionEntry* const> offsets_blocks,
-                         std::span<const SectionEntry* const> items_blocks,
-                         ThreadPool* pool, const SegmentCatalog* stored,
-                         SegmentCatalog* counted,
-                         std::vector<uint32_t>* item_freq);
+  Status DecodeColumns(const std::byte* base,
+                       std::span<const SectionEntry* const> offsets_blocks,
+                       std::span<const SectionEntry* const> items_blocks,
+                       ThreadPool* pool, const SegmentCatalog* stored,
+                       SegmentCatalog* counted,
+                       std::vector<uint32_t>* item_freq);
 
   MmapFile file_;
   FileHeader header_;
   std::vector<SectionEntry> sections_;
   std::span<const uint64_t> segments_;
-  /// v2 decode buffers; the db's borrowed spans point into these.
+  /// Decode buffers; the db's borrowed spans point into these.
   std::vector<uint64_t> decoded_offsets_;
   std::vector<ItemId> decoded_items_;
   std::shared_ptr<const SegmentCatalog> catalog_;

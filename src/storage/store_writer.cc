@@ -28,14 +28,8 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
   if (options.segment_txns == 0) {
     return Status::InvalidArgument("segment_txns must be positive");
   }
-  if (SectionCountForVersion(options.version) == 0) {
-    return Status::InvalidArgument(
-        "unsupported store version " + std::to_string(options.version) +
-        " (this build writes versions 1 and 2)");
-  }
-  if (options.version == kFormatVersionV2 &&
-      (options.catalog_bitset_words == 0 ||
-       options.catalog_bitset_words > kMaxCatalogBitsetWords)) {
+  if (options.catalog_bitset_words == 0 ||
+      options.catalog_bitset_words > kMaxCatalogBitsetWords) {
     return Status::InvalidArgument(
         "catalog_bitset_words must be in [1, " +
         std::to_string(kMaxCatalogBitsetWords) + "]");
@@ -51,15 +45,11 @@ Result<StoreWriter> StoreWriter::Create(const std::string& path,
     if (!opened.ok()) return opened.status();
     writer.file_ = std::move(opened).value();
   }
-  if (options.version == kFormatVersionV2) {
-    writer.cur_seg_bits_.assign(options.catalog_bitset_words, 0);
-  }
+  writer.cur_seg_bits_.assign(options.catalog_bitset_words, 0);
   // Placeholder header + section table; Finish() writes the real ones
   // in place once every section offset is known.
   const std::vector<char> zeros(
-      sizeof(FileHeader) +
-          SectionCountForVersion(options.version) * sizeof(SectionEntry),
-      0);
+      sizeof(FileHeader) + kMinSectionCount * sizeof(SectionEntry), 0);
   Status placeholder =
       writer.WriteBytes(zeros.data(), zeros.size(), nullptr);
   if (!placeholder.ok()) {
@@ -97,18 +87,12 @@ Result<StoreWriter> StoreWriter::OpenAppend(const std::string& path,
       return Status(base.status().code(), std::move(msg));
     }
     const StoreReader& reader = *base;
-    if (reader.version() != kFormatVersionV2) {
-      return Status::FailedPrecondition(
-          "v1 stores are read-only (no append): " + path +
-          " — rewrite as v2 with `flipper_cli convert --from-fdb`");
-    }
     const FileHeader& h = reader.header();
     if (AlignUp(h.file_size) != h.file_size) {
       return Status::Internal(
           "committed store size is not section-aligned: " + path);
     }
     const SegmentCatalog* catalog = reader.catalog();
-    writer.options_.version = kFormatVersionV2;
     // The bitset geometry is frozen at creation: the base segments'
     // bitsets are carried over verbatim and their hash depends on the
     // word count. The tracked set, in contrast, is recomputed over
@@ -271,30 +255,24 @@ Status StoreWriter::AppendImpl(std::span<const ItemId> items) {
   std::sort(scratch_.begin(), scratch_.end());
   scratch_.erase(std::unique(scratch_.begin(), scratch_.end()),
                  scratch_.end());
-  if (options_.version == kFormatVersionV1) {
-    FLIPPER_RETURN_IF_ERROR(WriteBytes(
-        scratch_.data(), scratch_.size() * sizeof(ItemId),
-        &items_checksum_));
-  } else {
-    // v2: first item raw, then the strictly positive gaps — plus the
-    // catalog accumulators for the open segment.
-    encode_scratch_.clear();
-    const uint32_t num_bits = options_.catalog_bitset_words * 64;
-    ItemId prev = 0;
-    for (size_t i = 0; i < scratch_.size(); ++i) {
-      const ItemId item = scratch_[i];
-      PutVarint(i == 0 ? item : item - prev, &encode_scratch_);
-      prev = item;
-      cur_seg_min_ = std::min(cur_seg_min_, item);
-      cur_seg_max_ = std::max(cur_seg_max_, item);
-      const uint32_t bit = SegmentCatalog::HashBit(item, num_bits);
-      cur_seg_bits_[bit / 64] |= uint64_t{1} << (bit % 64);
-      if (item >= item_freq_.size()) item_freq_.resize(item + 1, 0);
-      ++item_freq_[item];
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteBytes(
-        encode_scratch_.data(), encode_scratch_.size(), &items_checksum_));
+  // First item raw, then the strictly positive gaps — plus the catalog
+  // accumulators for the open segment.
+  encode_scratch_.clear();
+  const uint32_t num_bits = options_.catalog_bitset_words * 64;
+  ItemId prev = 0;
+  for (size_t i = 0; i < scratch_.size(); ++i) {
+    const ItemId item = scratch_[i];
+    PutVarint(i == 0 ? item : item - prev, &encode_scratch_);
+    prev = item;
+    cur_seg_min_ = std::min(cur_seg_min_, item);
+    cur_seg_max_ = std::max(cur_seg_max_, item);
+    const uint32_t bit = SegmentCatalog::HashBit(item, num_bits);
+    cur_seg_bits_[bit / 64] |= uint64_t{1} << (bit % 64);
+    if (item >= item_freq_.size()) item_freq_.resize(item + 1, 0);
+    ++item_freq_[item];
   }
+  FLIPPER_RETURN_IF_ERROR(WriteBytes(
+      encode_scratch_.data(), encode_scratch_.size(), &items_checksum_));
   offsets_.push_back(offsets_.back() + scratch_.size());
   max_width_ = std::max(max_width_, static_cast<uint32_t>(scratch_.size()));
   if (!scratch_.empty()) {
@@ -302,7 +280,7 @@ Status StoreWriter::AppendImpl(std::span<const ItemId> items) {
   }
   if (++txns_in_open_segment_ == options_.segment_txns) {
     segments_.push_back(num_transactions());
-    if (options_.version == kFormatVersionV2) FlushCatalogSegment();
+    FlushCatalogSegment();
     txns_in_open_segment_ = 0;
   }
   return Status::OK();
@@ -515,25 +493,19 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
   FLIPPER_RETURN_IF_ERROR(Pad());
 
   std::vector<SectionEntry> written;  // sections written below, in order
-  if (options_.version == kFormatVersionV1) {
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kTxnOffsets, offsets_.data(),
-        offsets_.size() * sizeof(uint64_t), &written));
-  } else {
-    encode_scratch_.clear();
-    for (size_t t = base_txns_; t + 1 < offsets_.size(); ++t) {
-      PutVarint(offsets_[t + 1] - offsets_[t], &encode_scratch_);
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kTxnOffsets, encode_scratch_.data(),
-        encode_scratch_.size(), &written));
+  encode_scratch_.clear();
+  for (size_t t = base_txns_; t + 1 < offsets_.size(); ++t) {
+    PutVarint(offsets_[t + 1] - offsets_[t], &encode_scratch_);
   }
+  FLIPPER_RETURN_IF_ERROR(WriteSection(
+      SectionId::kTxnOffsets, encode_scratch_.data(),
+      encode_scratch_.size(), &written));
   const SectionEntry offsets_entry = written.back();
   written.pop_back();
 
   if (segments_.back() != num_transactions()) {
     segments_.push_back(num_transactions());
-    if (options_.version == kFormatVersionV2) FlushCatalogSegment();
+    FlushCatalogSegment();
   }
   FLIPPER_RETURN_IF_ERROR(WriteSection(
       SectionId::kSegments, segments_.data(),
@@ -565,60 +537,56 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
       SectionId::kTaxRoots, roots.data(), roots.size() * sizeof(ItemId),
       &written));
 
-  if (options_.version == kFormatVersionV2) {
-    // Tracked set: the same selection the reader's catalog check runs
-    // (SegmentCatalog::TopKByFrequency), so the two can never disagree.
-    const std::vector<ItemId> tracked_vec =
-        SegmentCatalog::TopKByFrequency(item_freq_,
-                                        options_.catalog_tracked_items);
-    const size_t tracked = tracked_vec.size();
-    const std::span<const ItemId> tracked_ids(tracked_vec.data(),
-                                              tracked);
+  // Tracked set: the same selection the reader's catalog check runs
+  // (SegmentCatalog::TopKByFrequency), so the two can never disagree.
+  const std::vector<ItemId> tracked_vec =
+      SegmentCatalog::TopKByFrequency(item_freq_,
+                                      options_.catalog_tracked_items);
+  const size_t tracked = tracked_vec.size();
+  const std::span<const ItemId> tracked_ids(tracked_vec.data(), tracked);
 
-    // The items column must be visible to the counting re-read (a
-    // separate read handle on the same file).
-    FLIPPER_RETURN_IF_ERROR(file_->Flush());
-    std::vector<Extent> extents;
-    extents.reserve(base_items_blocks_.size() + 1);
-    for (const SectionEntry& e : base_items_blocks_) {
-      extents.push_back(Extent{e.offset, e.size});
-    }
-    extents.push_back(Extent{items_start_, items_end - items_start_});
-    std::vector<uint32_t> tracked_supports;
-    FLIPPER_RETURN_IF_ERROR(CountTrackedSupports(
-        extents, tracked_ids, &tracked_supports));
-
-    const size_t num_segments = segments_.size() - 1;
-    const uint32_t words = options_.catalog_bitset_words;
-    std::vector<uint8_t> payload;
-    payload.reserve(sizeof(SegCatalogHeader) +
-                    tracked * sizeof(uint32_t) +
-                    num_segments * SegCatalogRecordBytes(tracked, words));
-    const auto put_u32 = [&payload](uint32_t v) {
-      const auto* p = reinterpret_cast<const uint8_t*>(&v);
-      payload.insert(payload.end(), p, p + sizeof(v));
-    };
-    const auto put_u64 = [&payload](uint64_t v) {
-      const auto* p = reinterpret_cast<const uint8_t*>(&v);
-      payload.insert(payload.end(), p, p + sizeof(v));
-    };
-    put_u32(static_cast<uint32_t>(tracked));
-    put_u32(words);
-    for (ItemId id : tracked_ids) put_u32(id);
-    for (size_t seg = 0; seg < num_segments; ++seg) {
-      put_u32(seg_min_[seg]);
-      put_u32(seg_max_[seg]);
-      for (uint32_t w = 0; w < words; ++w) {
-        put_u64(seg_bits_[seg * words + w]);
-      }
-      for (size_t i = 0; i < tracked; ++i) {
-        put_u32(tracked_supports[seg * tracked + i]);
-      }
-    }
-    FLIPPER_RETURN_IF_ERROR(WriteSection(
-        SectionId::kSegCatalog, payload.data(), payload.size(),
-        &written));
+  // The items column must be visible to the counting re-read (a
+  // separate read handle on the same file).
+  FLIPPER_RETURN_IF_ERROR(file_->Flush());
+  std::vector<Extent> extents;
+  extents.reserve(base_items_blocks_.size() + 1);
+  for (const SectionEntry& e : base_items_blocks_) {
+    extents.push_back(Extent{e.offset, e.size});
   }
+  extents.push_back(Extent{items_start_, items_end - items_start_});
+  std::vector<uint32_t> tracked_supports;
+  FLIPPER_RETURN_IF_ERROR(CountTrackedSupports(
+      extents, tracked_ids, &tracked_supports));
+
+  const size_t num_segments = segments_.size() - 1;
+  const uint32_t words = options_.catalog_bitset_words;
+  std::vector<uint8_t> payload;
+  payload.reserve(sizeof(SegCatalogHeader) +
+                  tracked * sizeof(uint32_t) +
+                  num_segments * SegCatalogRecordBytes(tracked, words));
+  const auto put_u32 = [&payload](uint32_t v) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&v);
+    payload.insert(payload.end(), p, p + sizeof(v));
+  };
+  const auto put_u64 = [&payload](uint64_t v) {
+    const auto* p = reinterpret_cast<const uint8_t*>(&v);
+    payload.insert(payload.end(), p, p + sizeof(v));
+  };
+  put_u32(static_cast<uint32_t>(tracked));
+  put_u32(words);
+  for (ItemId id : tracked_ids) put_u32(id);
+  for (size_t seg = 0; seg < num_segments; ++seg) {
+    put_u32(seg_min_[seg]);
+    put_u32(seg_max_[seg]);
+    for (uint32_t w = 0; w < words; ++w) {
+      put_u64(seg_bits_[seg * words + w]);
+    }
+    for (size_t i = 0; i < tracked; ++i) {
+      put_u32(tracked_supports[seg * tracked + i]);
+    }
+  }
+  FLIPPER_RETURN_IF_ERROR(WriteSection(
+      SectionId::kSegCatalog, payload.data(), payload.size(), &written));
 
   // Assemble the section table. Fresh files keep the historical order
   // (items first); appended files list the committed column blocks
@@ -643,7 +611,7 @@ Status StoreWriter::FinishImpl(const ItemDictionary& dict,
 
   FileHeader header;
   std::memcpy(header.magic, kMagic, sizeof(kMagic));
-  header.version = options_.version;
+  header.version = kFormatVersion;
   header.section_count = static_cast<uint32_t>(table.size());
   header.num_transactions = num_transactions();
   header.num_items = num_items();

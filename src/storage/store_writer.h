@@ -1,11 +1,11 @@
 // StoreWriter: streams a mining input into a .fdb FlipperStore file.
 //
 // Transactions are appended one at a time and their items flow
-// straight to disk (raw u32 for v1, delta+varint for v2), so a
-// generator can emit datasets larger than RAM without ever building a
-// full TransactionDb in memory; only the CSR offsets (8 bytes per
-// transaction), segment boundaries and per-segment catalog records
-// (v2) are buffered until Finish(). The dictionary and taxonomy are
+// straight to disk (delta+varint), so a generator can emit datasets
+// larger than RAM without ever building a full TransactionDb in
+// memory; only the CSR offsets (8 bytes per transaction), segment
+// boundaries and per-segment catalog records are buffered until
+// Finish(). The dictionary and taxonomy are
 // written at Finish() so callers may keep interning names while
 // appending.
 //
@@ -14,14 +14,14 @@
 // after a successful fsync, so a crashed fresh write never leaves a
 // half-written store at the final path; failed writers remove their
 // temp file (on error or on destruction). OpenAppend() extends an
-// existing v2 store in place with the commit protocol described in
+// existing store in place with the commit protocol described in
 // format.h: new data strictly after the committed bytes, a trailing
 // section-table + header as the commit record, the front header
 // rewritten last. A crash mid-append leaves the base store intact
 // (torn tails are removed by `flipper_cli repair`); a failed append
 // session truncates back to the base store before returning.
 //
-// The v2 segment catalog tracks exact per-segment supports for the
+// The segment catalog tracks exact per-segment supports for the
 // globally most frequent items; because "most frequent" is only known
 // once every transaction has been appended, Finish() re-reads the
 // just-written items column once (chunked, O(1) memory) to fill those
@@ -54,16 +54,12 @@ class StoreWriter {
   struct Options {
     /// Transactions per shard segment. Segments partition the file for
     /// sharded scans (LevelViews::ScanShards-style static splits) and
-    /// are the granularity of v2 scan skipping.
+    /// are the granularity of scan skipping.
     uint32_t segment_txns = 1u << 16;
-    /// On-disk format version: kFormatVersionV1 (raw fixed-width
-    /// columns, zero-copy mmap reads) or kFormatVersionV2 (delta+varint
-    /// columns plus the segment catalog).
-    uint32_t version = kFormatVersionLatest;
-    /// v2 only: top-frequency items whose exact per-segment supports
-    /// the catalog records.
+    /// Top-frequency items whose exact per-segment supports the
+    /// catalog records.
     uint32_t catalog_tracked_items = SegmentCatalog::kDefaultTrackedItems;
-    /// v2 only: 64-bit bitset words per segment in the catalog.
+    /// 64-bit bitset words per segment in the catalog.
     uint32_t catalog_bitset_words = SegmentCatalog::kDefaultBitsetWords;
   };
 
@@ -87,9 +83,9 @@ class StoreWriter {
     return Create(path, Options());
   }
 
-  /// Starts an append session on an existing, fully committed
-  /// version-2 store (v1 stores are read-only; a torn file must be
-  /// repaired first — this validates like StoreReader::Open).
+  /// Starts an append session on an existing, fully committed store (a
+  /// torn file must be repaired first — this validates like
+  /// StoreReader::Open).
   /// Appended transactions go into new segments; Finish() commits them
   /// with the crash-safe trailer protocol, and the dictionary/taxonomy
   /// passed to Finish() may only *extend* the ones already on disk.
@@ -152,11 +148,11 @@ class StoreWriter {
   /// `table`.
   Status WriteSection(SectionId id, const void* data, size_t size,
                       std::vector<SectionEntry>* table);
-  /// Closes the current catalog segment record (v2).
+  /// Closes the current catalog segment record.
   void FlushCatalogSegment();
   /// Re-reads the items column (`extents`, in transaction order) and
   /// accumulates per-segment supports for `tracked_ids` into
-  /// `supports` (segments x tracked, v2).
+  /// `supports` (segments x tracked).
   Status CountTrackedSupports(std::span<const Extent> extents,
                               std::span<const ItemId> tracked_ids,
                               std::vector<uint32_t>* supports) const;
@@ -191,7 +187,7 @@ class StoreWriter {
   std::vector<ItemId> base_parents_;      // taxonomy prefix to honor
   std::vector<ItemId> base_roots_;
 
-  // --- v2 catalog accumulation (empty for v1). ---
+  // --- Catalog accumulation. ---
   std::vector<uint32_t> item_freq_;     // global, grown on demand
   std::vector<ItemId> seg_min_;         // per flushed segment
   std::vector<ItemId> seg_max_;

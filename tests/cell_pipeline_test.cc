@@ -145,32 +145,26 @@ void RunScenario(Scenario s) {
     EXPECT_EQ(Fingerprint(*run), reference_fp) << "threads=" << threads;
   }
 
-  // The same scenario through both FlipperStore round trips: a v1
-  // store (raw columns, no catalog) and a v2 store (varint columns +
-  // segment catalog, small segments so skipping decisions are in
-  // play) must reproduce the reference fingerprint at 1 and 4
+  // The same scenario through a FlipperStore round trip (varint
+  // columns + segment catalog, small segments so skipping decisions are
+  // in play) must reproduce the reference fingerprint at 1 and 4
   // threads.
-  for (uint32_t version :
-       {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
-    const std::string path = ::testing::TempDir() + "pipeline_" +
-                             s.name + "_v" + std::to_string(version) +
-                             ".fdb";
-    storage::StoreWriter::Options options;
-    options.version = version;
-    options.segment_txns = 256;
-    ASSERT_TRUE(storage::WriteStoreFile(path, s.db, s.dict, s.taxonomy,
-                                        options)
-                    .ok());
-    auto reader = storage::StoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    for (int threads : {1, 4}) {
-      config.num_threads = threads;
-      auto run = FlipperMiner::Run(reader->db(), reader->taxonomy(),
-                                   config);
-      ASSERT_TRUE(run.ok()) << run.status();
-      EXPECT_EQ(Fingerprint(*run), reference_fp)
-          << "store v" << version << " threads=" << threads;
-    }
+  const std::string path =
+      ::testing::TempDir() + "pipeline_" + s.name + ".fdb";
+  storage::StoreWriter::Options options;
+  options.segment_txns = 256;
+  ASSERT_TRUE(storage::WriteStoreFile(path, s.db, s.dict, s.taxonomy,
+                                      options)
+                  .ok());
+  auto reader = storage::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  for (int threads : {1, 4}) {
+    config.num_threads = threads;
+    auto run =
+        FlipperMiner::Run(reader->db(), reader->taxonomy(), config);
+    ASSERT_TRUE(run.ok()) << run.status();
+    EXPECT_EQ(Fingerprint(*run), reference_fp)
+        << "store threads=" << threads;
   }
 }
 

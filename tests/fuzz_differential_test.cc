@@ -5,15 +5,13 @@
 // cells, segment skipping, txn prefilter), then requires that
 //
 //   - FlipperMiner over the text-loaded inputs,
-//   - FlipperMiner over a v1 FlipperStore round trip,
-//   - FlipperMiner over a v2 FlipperStore round trip (varint columns
-//     + segment catalog, small segments so skipping has bite), and
-//   - FlipperMiner over a v2 store grown with 1-3 random append
-//     sessions (base prefix + OpenAppend batches, commit trailer in
-//     play)
+//   - FlipperMiner over a FlipperStore round trip (varint columns +
+//     segment catalog, small segments so skipping has bite), and
+//   - FlipperMiner over a store grown with 1-3 random append sessions
+//     (base prefix + OpenAppend batches, commit trailer in play)
 //
 // are all byte-identical to the NaiveMiner oracle's CSV export, at 1
-// and 4 threads. This is the guard rail for the v2 scan-skipping
+// and 4 threads. This is the guard rail for the scan-skipping
 // machinery: a single wrongly skipped segment shows up as a support
 // (and usually a pattern-set) difference against the oracle — and for
 // the append path, where a mis-encoded block pair or stale catalog
@@ -62,8 +60,7 @@ struct RoundInputs {
   ItemDictionary dict;
   Taxonomy taxonomy;
   TransactionDb db;
-  std::string v1_path;
-  std::string v2_path;
+  std::string store_path;
 };
 
 RoundInputs MakeRoundInputs(uint64_t seed, const testutil::Dataset& data,
@@ -82,24 +79,17 @@ RoundInputs MakeRoundInputs(uint64_t seed, const testutil::Dataset& data,
   EXPECT_TRUE(loaded_db.ok()) << loaded_db.status();
   inputs.db = std::move(loaded_db).value();
 
-  inputs.v1_path = TempPath(tag + "_v1.fdb");
-  inputs.v2_path = TempPath(tag + "_v2.fdb");
+  inputs.store_path = TempPath(tag + ".fdb");
   storage::StoreWriter::Options options;
   options.segment_txns = segment_txns;
-  options.version = storage::kFormatVersionV1;
-  EXPECT_TRUE(storage::WriteStoreFile(inputs.v1_path, inputs.db,
-                                      inputs.dict, inputs.taxonomy,
-                                      options)
-                  .ok());
-  options.version = storage::kFormatVersionV2;
-  EXPECT_TRUE(storage::WriteStoreFile(inputs.v2_path, inputs.db,
+  EXPECT_TRUE(storage::WriteStoreFile(inputs.store_path, inputs.db,
                                       inputs.dict, inputs.taxonomy,
                                       options)
                   .ok());
   return inputs;
 }
 
-/// Writes `inputs.db` as a v2 store grown incrementally: a base prefix
+/// Writes `inputs.db` as a store grown incrementally: a base prefix
 /// via Create() plus `num_batches` OpenAppend() sessions over random
 /// split points. The result must mine exactly like the bulk-written
 /// store.
@@ -107,7 +97,7 @@ std::string WriteAppendedStore(const RoundInputs& inputs,
                                const std::string& tag,
                                uint32_t segment_txns,
                                uint32_t num_batches, Rng* rng) {
-  const std::string path = TempPath(tag + "_v2_appended.fdb");
+  const std::string path = TempPath(tag + "_appended.fdb");
   const uint64_t total = inputs.db.size();
   std::vector<uint64_t> cuts = {0, total};
   for (uint32_t b = 0; b < num_batches; ++b) {
@@ -194,7 +184,7 @@ size_t RunRound(uint64_t seed) {
   const auto depth = static_cast<uint32_t>(2 + rng.Below(3));
   const auto num_txns = static_cast<uint32_t>(200 + rng.Below(600));
   const auto max_width = static_cast<uint32_t>(4 + rng.Below(7));
-  // Small, shard-misaligned segments so v2 skipping decisions differ
+  // Small, shard-misaligned segments so skipping decisions differ
   // from the scan sharding.
   const auto segment_txns = static_cast<uint32_t>(24 + rng.Below(80));
 
@@ -240,18 +230,15 @@ size_t RunRound(uint64_t seed) {
   if (!oracle.ok()) return 0;
   const std::string expected = ToCsv(oracle->patterns, inputs.dict);
 
-  auto v1 = storage::StoreReader::Open(inputs.v1_path);
-  auto v2 = storage::StoreReader::Open(inputs.v2_path);
+  auto store = storage::StoreReader::Open(inputs.store_path);
   auto appended = storage::StoreReader::Open(appended_path);
-  EXPECT_TRUE(v1.ok()) << v1.status();
-  EXPECT_TRUE(v2.ok()) << v2.status();
+  EXPECT_TRUE(store.ok()) << store.status();
   EXPECT_TRUE(appended.ok()) << appended.status();
-  if (!v1.ok() || !v2.ok() || !appended.ok()) return 0;
-  EXPECT_NE(v2->catalog(), nullptr);
-  EXPECT_LE(v2->file_size(), v1->file_size());
+  if (!store.ok() || !appended.ok()) return 0;
+  EXPECT_NE(store->catalog(), nullptr);
   EXPECT_TRUE(appended->VerifyChecksums().ok());
   EXPECT_EQ(appended->header().section_count,
-            storage::kNumSectionsV2 + 2 * num_batches);
+            storage::kMinSectionCount + 2 * num_batches);
   EXPECT_EQ(appended->db().size(), inputs.db.size());
 
   struct Source {
@@ -262,9 +249,8 @@ size_t RunRound(uint64_t seed) {
   };
   const Source sources[] = {
       {"text", &inputs.db, &inputs.taxonomy, &inputs.dict},
-      {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
-      {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
-      {"v2-appended", &appended->db(), &appended->taxonomy(),
+      {"store", &store->db(), &store->taxonomy(), &store->dict()},
+      {"appended-store", &appended->db(), &appended->taxonomy(),
        &appended->dict()},
   };
   for (const int threads : {1, 4}) {
@@ -295,12 +281,12 @@ size_t RunRound(uint64_t seed) {
 
   // Concurrency dimension: the daemon's serving shape. Several miners
   // run AT ONCE over one shared, catalog-bearing LevelViews instance
-  // of the v2 store (each run brings its own pool), and every one must
+  // of the store (each run brings its own pool), and every one must
   // still match the oracle byte for byte.
   {
     LevelViews::BuildOptions view_options;
     view_options.build_catalogs = true;
-    auto shared_views = LevelViews::Build(v2->db(), v2->taxonomy(),
+    auto shared_views = LevelViews::Build(store->db(), store->taxonomy(),
                                           nullptr, view_options);
     EXPECT_TRUE(shared_views.ok()) << shared_views.status();
     if (!shared_views.ok()) return 0;
@@ -312,11 +298,11 @@ size_t RunRound(uint64_t seed) {
         MiningConfig run_config = config;
         run_config.num_threads = 1 + i % 3;
         run_config.cancel = run_token;
-        auto run = FlipperMiner::Run(v2->db(), v2->taxonomy(),
+        auto run = FlipperMiner::Run(store->db(), store->taxonomy(),
                                      run_config, &*shared_views);
         ASSERT_TRUE(run.ok())
             << "concurrent run " << i << ": " << run.status();
-        bodies[i] = ToCsv(run->patterns, v2->dict());
+        bodies[i] = ToCsv(run->patterns, store->dict());
       });
     }
     for (std::thread& t : threads) t.join();

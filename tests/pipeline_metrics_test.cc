@@ -110,7 +110,7 @@ TEST(MetricsRegistry, ScopedStageTimerRecordsWallAndCpu) {
     ScopedStageTimer timer(&m, "demo");
     // Busy loop long enough to be visible on both clocks.
     volatile uint64_t acc = 0;
-    for (int i = 0; i < 2'000'000; ++i) acc += static_cast<uint64_t>(i);
+    for (int i = 0; i < 2'000'000; ++i) acc = acc + static_cast<uint64_t>(i);
   }
   const auto snap = m.Snap();
   ASSERT_TRUE(snap.histograms.count("stage.demo_ms"));

@@ -347,12 +347,12 @@ TEST(ServerRobustnessTest, DeadlineFiresMidCountWhileHealthyQueryMatches) {
   doomed.join();
   EXPECT_NE(deadline_error.find("deadline_exceeded"), std::string::npos)
       << deadline_error;
-  // Cooperative cancellation is polled at segment/batch granularity:
-  // the error must come back promptly, not after the full multi-second
-  // mine. Sanitizer instrumentation slows each poll interval by an
-  // order of magnitude (and this box may be single-core), so those
-  // builds get proportional slack; the uninstrumented bound is the
-  // contract.
+  // Cooperative cancellation is polled per batch of transactions or
+  // candidates and between stages: the error must come back promptly,
+  // not after the full multi-second mine. Sanitizer instrumentation
+  // slows each poll interval by an order of magnitude (and the host
+  // may be single-core), so those builds get proportional slack; the
+  // uninstrumented bound is the contract.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
   constexpr int kUnwindSlack = 8;
 #elif defined(__has_feature)

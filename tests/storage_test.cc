@@ -244,14 +244,11 @@ TEST(StorageBorrowed, MutationMaterializesTheViews) {
 
 // --- Corruption battery ----------------------------------------------
 
-std::string MakeToyStore(const std::string& tag,
-                         uint32_t version = storage::kFormatVersionV1) {
+std::string MakeToyStore(const std::string& tag) {
   testutil::Dataset data = testutil::PaperToyDataset();
   const std::string path = TempPath(tag + ".fdb");
-  storage::StoreWriter::Options options;
-  options.version = version;
   EXPECT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                      data.taxonomy, options)
+                                      data.taxonomy)
                   .ok());
   return path;
 }
@@ -278,16 +275,27 @@ TEST(StorageCorruption, BadMagicFails) {
 }
 
 TEST(StorageCorruption, UnsupportedVersionFails) {
-  const std::string path = MakeToyStore("version");
-  std::string bytes = ReadFileBytes(path);
-  HeaderOf(&bytes)->version = 99;
-  FixChecksums(&bytes);
-  WriteFileBytes(path, bytes);
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(reader.status().message().find("version"),
-            std::string::npos);
+  // Version 1 (raw fixed-width columns) is no longer read; its message
+  // names the upgrade route. A future version is rejected the same way.
+  for (const uint32_t version : {1u, 99u}) {
+    const std::string path = MakeToyStore("version");
+    std::string bytes = ReadFileBytes(path);
+    HeaderOf(&bytes)->version = version;
+    FixChecksums(&bytes);
+    WriteFileBytes(path, bytes);
+    auto reader = storage::StoreReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << "version " << version;
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(reader.status().message().find(
+                  "unsupported store version " + std::to_string(version) +
+                  " (this build reads version 2)"),
+              std::string::npos)
+        << reader.status();
+    EXPECT_EQ(reader.status().message().find("convert --from-fdb") !=
+                  std::string::npos,
+              version == 1)
+        << reader.status();
+  }
 }
 
 TEST(StorageCorruption, HeaderBitFlipFailsTheChecksum) {
@@ -327,14 +335,25 @@ TEST(StorageCorruption, SectionBeyondEndOfFileFails) {
             std::string::npos);
 }
 
+/// Overwrites the first varint of `id`'s column (txn 0's width or first
+/// item, one byte in the toy store) with the one-byte varint `value`.
+void PatchFirstVarint(std::string* bytes, storage::SectionId id,
+                      uint64_t value) {
+  const auto* column = SectionOf(bytes, id);
+  ASSERT_NE(column, nullptr);
+  ASSERT_LT(static_cast<uint8_t>((*bytes)[column->offset]), 0x80);
+  ASSERT_LT(value, 0x80u);
+  (*bytes)[column->offset] = static_cast<char>(value);
+  FixChecksums(bytes);
+}
+
 TEST(StorageCorruption, OutOfRangeItemFails) {
+  // txn 0's first item id (a raw varint, not a gap) at the alphabet
+  // size: the smallest id out of range.
   const std::string path = MakeToyStore("bad_item");
   std::string bytes = ReadFileBytes(path);
-  const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
-  ASSERT_NE(items, nullptr);
-  uint32_t bogus = HeaderOf(&bytes)->alphabet_size + 100;
-  std::memcpy(bytes.data() + items->offset, &bogus, sizeof(bogus));
-  FixChecksums(&bytes);
+  ASSERT_NO_FATAL_FAILURE(PatchFirstVarint(
+      &bytes, storage::SectionId::kTxnItems, HeaderOf(&bytes)->alphabet_size));
   WriteFileBytes(path, bytes);
   auto reader = storage::StoreReader::Open(path);
   ASSERT_FALSE(reader.ok());
@@ -344,34 +363,56 @@ TEST(StorageCorruption, OutOfRangeItemFails) {
 }
 
 TEST(StorageCorruption, NonMonotoneOffsetsFail) {
+  // txn 0's width runs the CSR boundaries past num_items. Widths are
+  // unsigned, so the boundaries cannot decrease; they fail to end at
+  // num_items instead.
   const std::string path = MakeToyStore("bad_offsets");
   std::string bytes = ReadFileBytes(path);
-  const auto* offsets =
-      SectionOf(&bytes, storage::SectionId::kTxnOffsets);
-  ASSERT_NE(offsets, nullptr);
-  const uint64_t bogus = HeaderOf(&bytes)->num_items + 7;
-  std::memcpy(bytes.data() + offsets->offset + sizeof(uint64_t), &bogus,
-              sizeof(bogus));
-  FixChecksums(&bytes);
+  ASSERT_NO_FATAL_FAILURE(PatchFirstVarint(
+      &bytes, storage::SectionId::kTxnOffsets,
+      HeaderOf(&bytes)->num_items + 7));
   WriteFileBytes(path, bytes);
   auto reader = storage::StoreReader::Open(path);
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruptedData);
-  EXPECT_NE(reader.status().message().find("not monotone"),
-            std::string::npos);
+  EXPECT_NE(reader.status().message().find("do not span the items"),
+            std::string::npos)
+      << reader.status();
+}
+
+/// Byte offset of the first per-segment record inside the catalog
+/// payload (past the catalog header and the tracked-id table).
+size_t CatalogRecordsOffset(std::string* bytes) {
+  const auto* entry = SectionOf(bytes, storage::SectionId::kSegCatalog);
+  EXPECT_NE(entry, nullptr);
+  storage::SegCatalogHeader ch;
+  std::memcpy(&ch, bytes->data() + entry->offset, sizeof(ch));
+  return static_cast<size_t>(entry->offset) + sizeof(ch) +
+         ch.tracked_count * sizeof(uint32_t);
+}
+
+/// Zeroes segment 0's catalog bitset: the structural checks still
+/// pass, but a scan consulting it would wrongly skip the segment.
+void ZeroFirstCatalogBitset(std::string* bytes) {
+  const size_t record = CatalogRecordsOffset(bytes);
+  storage::SegCatalogHeader ch;
+  std::memcpy(&ch,
+              bytes->data() +
+                  SectionOf(bytes, storage::SectionId::kSegCatalog)->offset,
+              sizeof(ch));
+  std::memset(bytes->data() + record + 2 * sizeof(uint32_t), 0,
+              ch.bitset_words * sizeof(uint64_t));
+  FixChecksums(bytes);
 }
 
 TEST(StorageCorruption, TrustedOpenSkipsThePayloadScan) {
-  // Same corruption as OutOfRangeItemFails, but validate=false trusts
-  // the payload; structural gates still pass, so Open succeeds. (This
-  // is the documented contract, not a bug: trusted mode is for files
-  // this process just wrote.)
+  // A lying catalog: validate=false trusts it, and the structural
+  // gates and the always-checked column decode pass, so Open succeeds.
+  // (This is the documented contract, not a bug: trusted mode is for
+  // files this process just wrote.)
   const std::string path = MakeToyStore("trusted");
   std::string bytes = ReadFileBytes(path);
-  const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
-  uint32_t bogus = HeaderOf(&bytes)->alphabet_size + 100;
-  std::memcpy(bytes.data() + items->offset, &bogus, sizeof(bogus));
-  FixChecksums(&bytes);
+  ZeroFirstCatalogBitset(&bytes);
   WriteFileBytes(path, bytes);
   storage::OpenOptions trusting;
   trusting.validate = false;
@@ -397,38 +438,7 @@ TEST(StorageCorruption, VerifyChecksumsCatchesPayloadBitrot) {
   EXPECT_NE(verified.message().find("dict_blob"), std::string::npos);
 }
 
-// --- v2: round trips, catalog semantics, corruption battery ---------
-
-TEST(StorageV2, RoundTripMatchesV1AndTextAtAnyThreadCount) {
-  // MakeConverted writes the default (latest = v2) store.
-  ConvertedDataset data = MakeConverted("v2_roundtrip");
-  const std::string v1_path = TempPath("v2_roundtrip_v1.fdb");
-  storage::StoreWriter::Options v1_options;
-  v1_options.version = storage::kFormatVersionV1;
-  ASSERT_TRUE(storage::WriteStoreFile(v1_path, data.db, data.dict,
-                                      data.taxonomy, v1_options)
-                  .ok());
-
-  auto v2 = storage::StoreReader::Open(data.store_path);
-  auto v1 = storage::StoreReader::Open(v1_path);
-  ASSERT_TRUE(v2.ok()) << v2.status();
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  EXPECT_EQ(v2->version(), storage::kFormatVersionV2);
-  EXPECT_EQ(v1->version(), storage::kFormatVersionV1);
-  EXPECT_LT(v2->file_size(), v1->file_size());  // varint columns shrink
-
-  for (int threads : {1, 4}) {
-    const std::string from_text =
-        MineToCsv(data.db, data.taxonomy, data.dict, threads);
-    EXPECT_FALSE(from_text.empty());
-    EXPECT_EQ(from_text,
-              MineToCsv(v1->db(), v1->taxonomy(), v1->dict(), threads))
-        << "v1 threads=" << threads;
-    EXPECT_EQ(from_text,
-              MineToCsv(v2->db(), v2->taxonomy(), v2->dict(), threads))
-        << "v2 threads=" << threads;
-  }
-}
+// --- Segment catalog semantics, empty stores, column corruption -----
 
 TEST(StorageV2, CatalogIsExposedAndExact) {
   testutil::Dataset data = testutil::RandomDataset(77, 4, 2, 3, 400, 7);
@@ -477,14 +487,6 @@ TEST(StorageV2, CatalogIsExposedAndExact) {
   }
 }
 
-TEST(StorageV2, V1StoreCarriesNoCatalog) {
-  const std::string path = MakeToyStore("v1_no_catalog");
-  auto reader = storage::StoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->catalog(), nullptr);
-  EXPECT_EQ(reader->db().segment_catalog(), nullptr);
-}
-
 TEST(StorageV2, HeapFallbackMatchesMmap) {
   ConvertedDataset data = MakeConverted("v2_heap");
   storage::OpenOptions heap_options;
@@ -502,37 +504,20 @@ TEST(StorageV2, HeapFallbackMatchesMmap) {
 TEST(StorageV2, EmptyDatabaseRoundTrips) {
   testutil::Dataset data = testutil::PaperToyDataset();
   TransactionDb empty_db;
-  for (uint32_t version :
-       {storage::kFormatVersionV1, storage::kFormatVersionV2}) {
-    const std::string path =
-        TempPath("empty_v" + std::to_string(version) + ".fdb");
-    storage::StoreWriter::Options options;
-    options.version = version;
-    ASSERT_TRUE(storage::WriteStoreFile(path, empty_db, data.dict,
-                                        data.taxonomy, options)
-                    .ok());
-    auto reader = storage::StoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << "v" << version << ": " << reader.status();
-    EXPECT_EQ(reader->db().size(), 0u);
-    EXPECT_EQ(reader->dict().size(), data.dict.size());
-    EXPECT_TRUE(reader->VerifyChecksums().ok());
-  }
-}
-
-/// Byte offset of the first per-segment record inside the catalog
-/// payload (past the catalog header and the tracked-id table).
-size_t CatalogRecordsOffset(std::string* bytes) {
-  const auto* entry = SectionOf(bytes, storage::SectionId::kSegCatalog);
-  EXPECT_NE(entry, nullptr);
-  storage::SegCatalogHeader ch;
-  std::memcpy(&ch, bytes->data() + entry->offset, sizeof(ch));
-  return static_cast<size_t>(entry->offset) + sizeof(ch) +
-         ch.tracked_count * sizeof(uint32_t);
+  const std::string path = TempPath("empty.fdb");
+  ASSERT_TRUE(storage::WriteStoreFile(path, empty_db, data.dict,
+                                      data.taxonomy)
+                  .ok());
+  auto reader = storage::StoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->db().size(), 0u);
+  EXPECT_EQ(reader->dict().size(), data.dict.size());
+  EXPECT_NE(reader->catalog(), nullptr);
+  EXPECT_TRUE(reader->VerifyChecksums().ok());
 }
 
 TEST(StorageV2Corruption, TruncatedVarintMidColumnFails) {
-  const std::string path =
-      MakeToyStore("v2_trunc_varint", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_trunc_varint");
   std::string bytes = ReadFileBytes(path);
   const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
   ASSERT_NE(items, nullptr);
@@ -556,8 +541,7 @@ TEST(StorageV2Corruption, TruncatedVarintMidColumnFails) {
 }
 
 TEST(StorageV2Corruption, CatalogSegmentBoundsOutOfRangeFails) {
-  const std::string path =
-      MakeToyStore("v2_catalog_bounds", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_catalog_bounds");
   std::string bytes = ReadFileBytes(path);
   const size_t record = CatalogRecordsOffset(&bytes);
   const uint32_t bogus_min = 0;
@@ -575,8 +559,7 @@ TEST(StorageV2Corruption, CatalogSegmentBoundsOutOfRangeFails) {
 }
 
 TEST(StorageV2Corruption, CatalogBitsetLengthMismatchFails) {
-  const std::string path =
-      MakeToyStore("v2_bitset_len", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_bitset_len");
   std::string bytes = ReadFileBytes(path);
   const auto* entry = SectionOf(&bytes, storage::SectionId::kSegCatalog);
   ASSERT_NE(entry, nullptr);
@@ -593,14 +576,15 @@ TEST(StorageV2Corruption, CatalogBitsetLengthMismatchFails) {
             std::string::npos);
 }
 
-TEST(StorageV2Corruption, V2HeaderWithV1SectionTableFails) {
-  // A v1 file whose header claims version 2: the seven-section table
-  // cannot satisfy the v2 layout and must be rejected before any
-  // varint decoding is attempted.
-  const std::string path =
-      MakeToyStore("v2_header_v1_table", storage::kFormatVersionV1);
+TEST(StorageV2Corruption, SevenSectionTableFails) {
+  // A table cut to seven entries (the catalog dropped, checksums
+  // fixed) cannot hold one section per id and must be rejected before
+  // any varint decoding is attempted.
+  const std::string path = MakeToyStore("seven_sections");
   std::string bytes = ReadFileBytes(path);
-  HeaderOf(&bytes)->version = storage::kFormatVersionV2;
+  ASSERT_EQ(TableOf(&bytes)[7].id,
+            static_cast<uint32_t>(storage::SectionId::kSegCatalog));
+  HeaderOf(&bytes)->section_count = 7;
   FixChecksums(&bytes);
   WriteFileBytes(path, bytes);
   auto reader = storage::StoreReader::Open(path);
@@ -611,22 +595,11 @@ TEST(StorageV2Corruption, V2HeaderWithV1SectionTableFails) {
 }
 
 TEST(StorageV2Corruption, LyingCatalogIsRejectedByValidation) {
-  // Zero a segment's bitset: the structural checks still pass, but a
-  // scan consulting it would wrongly skip the segment, so validation
-  // must catch the disagreement with the items column.
-  const std::string path =
-      MakeToyStore("v2_lying_catalog", storage::kFormatVersionV2);
+  // Validation must catch a zeroed bitset's disagreement with the
+  // items column.
+  const std::string path = MakeToyStore("v2_lying_catalog");
   std::string bytes = ReadFileBytes(path);
-  const size_t record = CatalogRecordsOffset(&bytes);
-  storage::SegCatalogHeader ch;
-  std::memcpy(&ch,
-              bytes.data() +
-                  SectionOf(&bytes, storage::SectionId::kSegCatalog)
-                      ->offset,
-              sizeof(ch));
-  std::memset(bytes.data() + record + 2 * sizeof(uint32_t), 0,
-              ch.bitset_words * sizeof(uint64_t));
-  FixChecksums(&bytes);
+  ZeroFirstCatalogBitset(&bytes);
   WriteFileBytes(path, bytes);
   auto reader = storage::StoreReader::Open(path);
   ASSERT_FALSE(reader.ok());
@@ -640,8 +613,7 @@ TEST(StorageV2Corruption, HugeClaimedCountsFailBeforeAllocating) {
   // section patched to agree) must be rejected by the cheap
   // size-vs-section bound, not by a multi-gigabyte reserve() that
   // escapes as bad_alloc.
-  const std::string path =
-      MakeToyStore("v2_huge_counts", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_huge_counts");
   std::string bytes = ReadFileBytes(path);
   const uint64_t huge = 0xFFFFFFFFull;
   HeaderOf(&bytes)->num_transactions = huge;
@@ -663,8 +635,7 @@ TEST(StorageV2Corruption, WraparoundGapFailsEvenTrusted) {
   // item-1: in range, nonzero gap — but the decoded transaction is
   // unsorted. The decoder must reject oversized gaps outright, in
   // trusted mode too (this is the "never mis-mine" guarantee).
-  const std::string path =
-      MakeToyStore("v2_wrap_gap", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_wrap_gap");
   std::string bytes = ReadFileBytes(path);
 
   // Re-encode the whole items column with txn 0's first gap replaced
@@ -713,8 +684,7 @@ TEST(StorageV2Corruption, WraparoundGapFailsEvenTrusted) {
 
 TEST(StorageV2Corruption, NonCanonicalGapFails) {
   // A zero gap inside a transaction means duplicate/unsorted items.
-  const std::string path =
-      MakeToyStore("v2_zero_gap", storage::kFormatVersionV2);
+  const std::string path = MakeToyStore("v2_zero_gap");
   std::string bytes = ReadFileBytes(path);
   const auto* items = SectionOf(&bytes, storage::SectionId::kTxnItems);
   ASSERT_NE(items, nullptr);
@@ -796,7 +766,7 @@ TEST(StorageAppend, AppendThenMineEqualsRebuildThenMine) {
 
   // Layout: one extra block pair, table relocated to the trailer.
   EXPECT_EQ(appended->header().section_count,
-            storage::kNumSectionsV2 + 2);
+            storage::kMinSectionCount + 2);
   EXPECT_NE(appended->header().table_offset, 0u);
   EXPECT_EQ(appended->db().size(), 90u);
   ASSERT_NE(appended->catalog(), nullptr);
@@ -831,7 +801,7 @@ TEST(StorageAppend, EverySessionAddsABlockPair) {
 
   auto reader = storage::StoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV2 + 4);
+  EXPECT_EQ(reader->header().section_count, storage::kMinSectionCount + 4);
   EXPECT_EQ(reader->db().size(), 60u);
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_EQ(MineToCsv(reader->db(), reader->taxonomy(), reader->dict(), 1),
@@ -849,7 +819,7 @@ TEST(StorageAppend, EmptyAppendSessionCommitsCleanly) {
   auto reader = storage::StoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   EXPECT_EQ(reader->db().size(), data.db.size());
-  EXPECT_EQ(reader->header().section_count, storage::kNumSectionsV2 + 2);
+  EXPECT_EQ(reader->header().section_count, storage::kMinSectionCount + 2);
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   EXPECT_EQ(MineToCsv(reader->db(), reader->taxonomy(), reader->dict(), 1),
             base_csv);
@@ -898,22 +868,6 @@ TEST(StorageAppend, MutatedDictionaryIsRejectedAndRolledBack) {
   EXPECT_TRUE(storage::StoreReader::Open(path).ok());
   // And the writer refuses further use.
   EXPECT_FALSE(writer->Append(data.db.Get(0)).ok());
-}
-
-TEST(StorageAppend, V1StoresAreReadOnly) {
-  const testutil::Dataset data = testutil::PaperToyDataset();
-  const std::string path = TempPath("append_v1.fdb");
-  storage::StoreWriter::Options options;
-  options.version = storage::kFormatVersionV1;
-  ASSERT_TRUE(storage::WriteStoreFile(path, data.db, data.dict,
-                                      data.taxonomy, options)
-                  .ok());
-  auto writer = storage::StoreWriter::OpenAppend(path);
-  ASSERT_FALSE(writer.ok());
-  EXPECT_EQ(writer.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(writer.status().message().find("read-only"),
-            std::string::npos)
-      << writer.status();
 }
 
 TEST(StorageAppend, TornStoreRefusesAppendUntilRepaired) {

@@ -15,6 +15,8 @@
 #include "core/flipper_miner.h"
 #include "core/pattern_io.h"
 #include "data/db_io.h"
+#include "storage/store_reader.h"
+#include "storage/store_writer.h"
 #include "taxonomy/taxonomy_io.h"
 #include "test_util.h"
 
@@ -239,60 +241,7 @@ TEST_F(FlipperCliEndToEnd, ConvertInspectAndMineAreBitIdentical) {
   EXPECT_EQ(text_csv, no_skip_csv);
 }
 
-TEST_F(FlipperCliEndToEnd, ConvertStoreVersionsAndDowngrade) {
-  // Explicit v1 conversion still writes a v1 store.
-  const std::string v1_store = ::testing::TempDir() + "cli_e2e_v1.fdb";
-  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, v1_store,
-                    "--store-version=1"},
-                   &out_, &err_),
-            0)
-      << err_;
-  ASSERT_EQ(RunCli({"inspect", v1_store}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
-  EXPECT_NE(out_.find("catalog: none"), std::string::npos);
-
-  // Default conversion is v2; upgrade the v1 file and compare mining.
-  ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
-            0)
-      << err_;
-  const std::string upgraded = ::testing::TempDir() + "cli_e2e_up.fdb";
-  ASSERT_EQ(RunCli({"convert", "--from-fdb", v1_store, upgraded},
-                   &out_, &err_),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("v1 -> v2"), std::string::npos);
-
-  const std::vector<std::string> mining_flags = {
-      "--gamma=0.6", "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
-      "--format=csv"};
-  const auto mine_store = [&](const std::string& path) {
-    std::vector<std::string> cmd = {"mine", "--input", path};
-    cmd.insert(cmd.end(), mining_flags.begin(), mining_flags.end());
-    std::string csv;
-    EXPECT_EQ(RunCli(cmd, &csv, &err_), 0) << err_;
-    return csv;
-  };
-  const std::string v1_csv = mine_store(v1_store);
-  EXPECT_FALSE(v1_csv.empty());
-  EXPECT_EQ(v1_csv, mine_store(store_));
-  EXPECT_EQ(v1_csv, mine_store(upgraded));
-
-  // Downgrade back to v1; the upgraded and downgraded files mine the
-  // same patterns.
-  const std::string downgraded =
-      ::testing::TempDir() + "cli_e2e_down.fdb";
-  ASSERT_EQ(RunCli({"convert", "--from-fdb", upgraded, downgraded,
-                    "--store-version=1"},
-                   &out_, &err_),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("v2 -> v1"), std::string::npos);
-  ASSERT_EQ(RunCli({"inspect", downgraded}, &out_, &err_), 0) << err_;
-  EXPECT_NE(out_.find("FlipperStore v1"), std::string::npos);
-  EXPECT_EQ(v1_csv, mine_store(downgraded));
-}
-
-TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
+TEST_F(FlipperCliEndToEnd, ConvertFromStoreIsAValidatedReencode) {
   ASSERT_EQ(RunCli({"convert", basket_, taxonomy_, store_}, &out_, &err_),
             0)
       << err_;
@@ -304,16 +253,16 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   ASSERT_EQ(RunCli({"convert", "--from-fdb", store_, copy}, &out_, &err_),
             0)
       << err_;
-  EXPECT_NE(out_.find("validated copy"), std::string::npos);
-  EXPECT_NE(out_.find("already v2"), std::string::npos);
+  EXPECT_NE(out_.find("re-encoded"), std::string::npos);
 
+  // The writer is deterministic and the input's segment size carries
+  // over, so a fresh store re-encodes to its own bytes.
   std::ifstream copy_file(copy, std::ios::binary);
   std::ostringstream copy_bytes;
   copy_bytes << copy_file.rdbuf();
   EXPECT_EQ(original_bytes.str(), copy_bytes.str());
 
-  // An explicit --segment-txns requests a re-shard, so the fast copy
-  // is bypassed even at the same version.
+  // An explicit --segment-txns re-cuts the shards.
   const std::string resharded =
       ::testing::TempDir() + "cli_e2e_reshard.fdb";
   ASSERT_EQ(RunCli({"convert", "--from-fdb", copy, resharded,
@@ -321,7 +270,6 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
                    &out_, &err_),
             0)
       << err_;
-  EXPECT_EQ(out_.find("validated copy"), std::string::npos);
   ASSERT_EQ(RunCli({"inspect", resharded}, &out_, &err_), 0) << err_;
   EXPECT_NE(out_.find("segments: 3"), std::string::npos);  // 10 txns / 4
 
@@ -332,9 +280,7 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   std::ostringstream before_bytes;
   before_bytes << before_file.rdbuf();
   before_file.close();
-  EXPECT_EQ(RunCli({"convert", "--from-fdb", copy, copy,
-                    "--store-version=1"},
-                   &out_, &err_),
+  EXPECT_EQ(RunCli({"convert", "--from-fdb", copy, copy}, &out_, &err_),
             2);
   EXPECT_NE(err_.find("onto itself"), std::string::npos);
   const std::string alias =
@@ -348,8 +294,8 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   after_bytes << after_file.rdbuf();
   EXPECT_EQ(before_bytes.str(), after_bytes.str());
 
-  // A corrupt same-version input must fail the validated copy, not be
-  // propagated.
+  // A corrupt input must fail the conversion — otherwise the re-encode
+  // would launder bitrot into a freshly checksummed file.
   // 16 consecutive bytes cannot be all inter-section padding (at most
   // 7 pad bytes per boundary), so some checksummed payload is hit.
   std::string bytes = original_bytes.str();
@@ -360,12 +306,60 @@ TEST_F(FlipperCliEndToEnd, ConvertSameVersionIsAValidatedCopy) {
   corrupt.close();
   EXPECT_NE(RunCli({"convert", "--from-fdb", store_, copy}, &out_, &err_),
             0);
-  // The re-encode path must refuse the same bitrot too — otherwise a
-  // version change would launder it into a freshly checksummed file.
-  EXPECT_NE(RunCli({"convert", "--from-fdb", store_, copy,
-                    "--store-version=1"},
-                   &out_, &err_),
-            0);
+}
+
+TEST_F(FlipperCliEndToEnd, ConvertCompactsAnAppendedStore) {
+  // Two append sessions leave two extra column block pairs, two
+  // superseded copies of the small sections and the table in a commit
+  // trailer; convert --from-fdb rewrites the store as a fresh one.
+  const testutil::Dataset data = testutil::PaperToyDataset();
+  const std::string appended = ::testing::TempDir() + "cli_e2e_grown.fdb";
+  {
+    auto writer = storage::StoreWriter::Create(appended);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (TxnId t = 0; t < 4; ++t) {
+      ASSERT_TRUE(writer->Append(data.db.Get(t)).ok());
+    }
+    ASSERT_TRUE(writer->Finish(data.dict, data.taxonomy).ok());
+  }
+  for (const auto& [from, to] : {std::pair<TxnId, TxnId>{4, 7}, {7, 10}}) {
+    auto writer = storage::StoreWriter::OpenAppend(appended);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    for (TxnId t = from; t < to; ++t) {
+      ASSERT_TRUE(writer->Append(data.db.Get(t)).ok());
+    }
+    ASSERT_TRUE(writer->Finish(data.dict, data.taxonomy).ok());
+  }
+
+  const std::string compacted =
+      ::testing::TempDir() + "cli_e2e_compacted.fdb";
+  ASSERT_EQ(RunCli({"convert", "--from-fdb", appended, compacted}, &out_,
+                   &err_),
+            0)
+      << err_;
+  auto before = storage::StoreReader::Open(appended);
+  auto after = storage::StoreReader::Open(compacted);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(before->header().section_count,
+            storage::kMinSectionCount + 4);
+  EXPECT_EQ(after->header().section_count, storage::kMinSectionCount);
+  EXPECT_EQ(after->header().table_offset, 0u);
+  EXPECT_LT(after->file_size(), before->file_size());
+
+  const auto mine = [&](const std::string& path) {
+    std::string csv;
+    EXPECT_EQ(RunCli({"mine", "--input", path, "--gamma=0.6",
+                      "--epsilon=0.35", "--minsup=0.1,0.1,0.1",
+                      "--format=csv"},
+                     &csv, &err_),
+              0)
+        << err_;
+    return csv;
+  };
+  const std::string appended_csv = mine(appended);
+  EXPECT_NE(appended_csv.find("a11|b11"), std::string::npos);
+  EXPECT_EQ(mine(compacted), appended_csv);
 }
 
 TEST_F(FlipperCliEndToEnd, MineRejectsACorruptStore) {

@@ -1,7 +1,7 @@
 // Dedicated invariance grid for the counting fast paths: mined output
 // must be byte-identical across txn prefilter {on, off} × {1, 4
-// threads} × {text, v1 store, v2 store} inputs, across every probe kernel the host can force
-// (avx2/sse2/portable/scalar), and the horizontal counter's
+// threads} × {text, store} inputs, across every probe kernel the host
+// can force (avx2/sse2/portable/scalar), and the horizontal counter's
 // trie/buffer reuse across consecutive counts (the row seam) must
 // reproduce fresh-counter supports exactly.
 
@@ -45,8 +45,7 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
   const std::string dir = ::testing::TempDir();
   const std::string basket = dir + "trie_invariance.basket";
   const std::string taxonomy_path = dir + "trie_invariance.taxonomy";
-  const std::string v1_path = dir + "trie_invariance_v1.fdb";
-  const std::string v2_path = dir + "trie_invariance_v2.fdb";
+  const std::string store_path = dir + "trie_invariance.fdb";
   ASSERT_TRUE(WriteTaxonomyFile(generated->taxonomy, generated->dict,
                                 taxonomy_path)
                   .ok());
@@ -61,18 +60,11 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
 
   storage::StoreWriter::Options store_options;
   store_options.segment_txns = 256;  // several segments per shard
-  store_options.version = storage::kFormatVersionV1;
-  ASSERT_TRUE(storage::WriteStoreFile(v1_path, *db, dict, *taxonomy,
+  ASSERT_TRUE(storage::WriteStoreFile(store_path, *db, dict, *taxonomy,
                                       store_options)
                   .ok());
-  store_options.version = storage::kFormatVersionV2;
-  ASSERT_TRUE(storage::WriteStoreFile(v2_path, *db, dict, *taxonomy,
-                                      store_options)
-                  .ok());
-  auto v1 = storage::StoreReader::Open(v1_path);
-  auto v2 = storage::StoreReader::Open(v2_path);
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  ASSERT_TRUE(v2.ok()) << v2.status();
+  auto store = storage::StoreReader::Open(store_path);
+  ASSERT_TRUE(store.ok()) << store.status();
 
   const MiningConfig config = generated->paper_config;
 
@@ -94,8 +86,7 @@ TEST(TrieInvariance, MinedOutputIdenticalAcrossTrieModes) {
   };
   const Source sources[] = {
       {"text", &*db, &*taxonomy, &dict},
-      {"v1-store", &v1->db(), &v1->taxonomy(), &v1->dict()},
-      {"v2-store", &v2->db(), &v2->taxonomy(), &v2->dict()},
+      {"store", &store->db(), &store->taxonomy(), &store->dict()},
   };
   for (const bool prefilter : {true, false}) {
     for (const int threads : {1, 4}) {
